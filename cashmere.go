@@ -298,7 +298,11 @@ func ParseMCPL(src string) (*mcpl.Program, error) {
 // against a hardware-description level (e.g. "gpu", "gtx480"). params give
 // representative launch values for the kernel's scalar int parameters.
 func Feedback(src, kernel, level string, params map[string]int64) ([]FeedbackMessage, error) {
-	prog, err := ParseMCPL(src)
+	prog, err := mcpl.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	info, err := mcpl.Check(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -307,7 +311,7 @@ func Feedback(src, kernel, level string, params map[string]int64) ([]FeedbackMes
 	if err != nil {
 		return nil, err
 	}
-	return feedback.Generate(prog, kernel, params, lv, nil)
+	return feedback.Generate(info, kernel, params, lv, nil)
 }
 
 // KernelGFLOPS compiles the kernel set's most specific version for the

@@ -53,9 +53,18 @@ func main() {
 	)
 	flag.Parse()
 
-	v := map[string]apps.Variant{
+	v, ok := map[string]apps.Variant{
 		"satin": apps.Satin, "unopt": apps.CashmereUnoptimized, "opt": apps.CashmereOptimized,
 	}[*variant]
+	if !ok {
+		usage("unknown variant %q (want satin, unopt or opt)", *variant)
+	}
+	if *cluster == "" && *nodes < 1 {
+		usage("-nodes must be at least 1, got %d", *nodes)
+	}
+	if *partitions < 0 {
+		usage("-partitions must be 0 (auto) or positive, got %d", *partitions)
+	}
 
 	// Resolve the application's kernel set and host program before building
 	// the cluster, so the tuner can search against the exact kernel sources
@@ -206,6 +215,12 @@ func parseCluster(s string) ([]core.NodeSpec, error) {
 		return nil, fmt.Errorf("empty cluster spec %q", s)
 	}
 	return out, nil
+}
+
+// usage reports a bad command line and exits with status 2, as flag does.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "cashmere-run: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func die(err error) {

@@ -1,83 +1,100 @@
 package core
 
 import (
+	"slices"
+
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/codegen"
 )
 
-// The MCL cost model walks the kernel's AST on every evaluation. Iterative
-// applications (kmeans, nbody) launch the same kernel with the same scalar
-// parameters thousands of times, so NodeState memoizes Cost per
-// (compiled kernel, parameter fingerprint). The fingerprint is a commutative
-// sum of per-entry FNV hashes — map iteration order cannot perturb it — and
-// each cache entry keeps a copy of its parameter map so a fingerprint
-// collision degrades to a recompute, never to a wrong cost.
+// The MCL cost of a launch depends on only a few of its scalar parameters:
+// Compiled.CostDeps names them (see codegen.AnalyzeChecked for why that set
+// is sound). So NodeState memoizes costs per compiled kernel in tables keyed
+// by the launch's values of exactly those parameters. Raytracer leaves,
+// which differ only in their first row, and n-body leaves, which differ only
+// in their offset, then share one entry, and a hit is a few map lookups with
+// no allocation. The dependency set changes with the values only in corner
+// cases (a zero divisor makes the dividend irrelevant), so a kernel normally
+// has one table; a kernel whose cost depends on more than maxCostDeps
+// parameters is evaluated on every launch.
 
-type costKey struct {
-	c  *codegen.Compiled
-	fp uint64
+// maxCostDeps bounds the parameters one cost table keys on.
+const maxCostDeps = 8
+
+// costTuple holds a launch's values of one table's parameters, in order.
+type costTuple [maxCostDeps]int64
+
+// costTable memoizes the costs of launches that differ only outside deps.
+type costTable struct {
+	deps  []string
+	costs map[costTuple]device.KernelCost
 }
 
-type costEntry struct {
-	params map[string]int64
-	cost   device.KernelCost
+// costMemo is the cost cache of one compiled kernel on one node.
+type costMemo struct {
+	required []string // the kernel's scalar int parameters
+	tables   []costTable
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fingerprintParams(params map[string]int64) uint64 {
-	fp := uint64(len(params))
-	for k, v := range params {
-		h := uint64(fnvOffset)
-		for i := 0; i < len(k); i++ {
-			h = (h ^ uint64(k[i])) * fnvPrime
-		}
-		u := uint64(v)
-		for shift := 0; shift < 64; shift += 8 {
-			h = (h ^ (u >> shift & 0xff)) * fnvPrime
-		}
-		fp += h
-	}
-	return fp
-}
-
-func paramsEqual(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
+// key projects params onto the table's parameters; ok is false when one is
+// missing.
+func (t *costTable) key(params map[string]int64) (k costTuple, ok bool) {
+	for i, name := range t.deps {
+		if k[i], ok = params[name]; !ok {
+			return k, false
 		}
 	}
-	return true
+	return k, true
 }
 
 // kernelCost returns the memoized cost of running the compiled kernel with
 // the given parameters. Errors are not cached: a failing evaluation is the
-// cold path to a CPU fallback.
+// cold path to a CPU fallback. A launch missing one of the kernel's
+// parameters always reaches the evaluation, so it fails as it would
+// uncached.
 func (ns *NodeState) kernelCost(c *codegen.Compiled, params map[string]int64) (device.KernelCost, error) {
-	key := costKey{c: c, fp: fingerprintParams(params)}
-	for _, e := range ns.costCache[key] {
-		if paramsEqual(e.params, params) {
-			ns.costHits++
-			return e.cost, nil
+	m := ns.costCache[c]
+	if m != nil && hasAll(params, m.required) {
+		for i := range m.tables {
+			t := &m.tables[i]
+			if k, ok := t.key(params); ok {
+				if cost, hit := t.costs[k]; hit {
+					ns.costHits++
+					return cost, nil
+				}
+			}
 		}
 	}
-	cost, err := c.Cost(params)
+	cost, deps, err := c.CostDeps(params)
 	if err != nil {
 		return cost, err
 	}
 	ns.costMisses++
-	cp := make(map[string]int64, len(params))
-	for k, v := range params {
-		cp[k] = v
+	if len(deps) > maxCostDeps {
+		return cost, nil
 	}
-	ns.costCache[key] = append(ns.costCache[key], costEntry{params: cp, cost: cost})
+	if m == nil {
+		m = &costMemo{required: c.IntParams()}
+		ns.costCache[c] = m
+	}
+	i := slices.IndexFunc(m.tables, func(t costTable) bool { return slices.Equal(t.deps, deps) })
+	if i < 0 {
+		m.tables = append(m.tables, costTable{deps: deps, costs: map[costTuple]device.KernelCost{}})
+		i = len(m.tables) - 1
+	}
+	if k, ok := m.tables[i].key(params); ok {
+		m.tables[i].costs[k] = cost
+	}
 	return cost, nil
+}
+
+func hasAll(params map[string]int64, names []string) bool {
+	for _, name := range names {
+		if _, ok := params[name]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // CostCacheStats reports memoization hits and misses for this node.

@@ -1,15 +1,12 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/satin"
 )
-
-func mustKSBench(name string, sources ...string) (*codegen.KernelSet, error) {
-	return codegen.NewKernelSet(name, sources...)
-}
 
 func TestCostCacheHitsOnRepeatedLaunches(t *testing.T) {
 	cfg := DefaultConfig(1, "k20")
@@ -81,39 +78,118 @@ func TestCostCacheErrorsNotCached(t *testing.T) {
 	}
 }
 
-func TestFingerprintOrderIndependent(t *testing.T) {
-	a := map[string]int64{"n": 7, "m": 9, "k": 1 << 40}
-	b := map[string]int64{"k": 1 << 40, "m": 9, "n": 7}
-	if fingerprintParams(a) != fingerprintParams(b) {
-		t.Fatal("fingerprint depends on construction order")
+// offsetKernel's cost depends on n but not on off, the way a raytracer
+// leaf's cost does not depend on its first row.
+const offsetKernel = `
+perfect void shift(int n, int off, float[n] a) {
+  foreach (int i in n threads) {
+    a[i] = a[i] + (float)(off + i);
+  }
+}
+`
+
+func offsetNode(t testing.TB) (*NodeState, *codegen.Compiled) {
+	cfg := DefaultConfig(1, "k20")
+	cl, _ := NewCluster(cfg)
+	cl.Register(mustKS(t, "shift", offsetKernel))
+	cl.Run(func(ctx *satin.Context) any { return nil })
+	ns := cl.NodeState(0)
+	return ns, ns.kernels["shift"][0]
+}
+
+func TestCostCacheKeysOnDepsOnly(t *testing.T) {
+	ns, c := offsetNode(t)
+	for off := int64(0); off < 10; off++ {
+		p := map[string]int64{"n": 1 << 12, "off": off * 4096}
+		got, err := ns.kernelCost(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := c.Cost(p); got != want {
+			t.Fatalf("off=%d: cached %+v, fresh %+v", off, got, want)
+		}
 	}
-	c := map[string]int64{"n": 7, "m": 9, "k": 1<<40 + 1}
-	if fingerprintParams(a) == fingerprintParams(c) {
-		t.Fatal("distinct params collide on a trivial perturbation")
+	if hits, misses := ns.CostCacheStats(); hits != 9 || misses != 1 {
+		t.Fatalf("varying a non-dependency: hits=%d misses=%d, want 9/1", hits, misses)
 	}
-	if !paramsEqual(a, b) || paramsEqual(a, c) {
-		t.Fatal("paramsEqual wrong")
+	if _, err := ns.kernelCost(c, map[string]int64{"n": 1 << 13, "off": 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, misses := ns.CostCacheStats(); misses != 2 {
+		t.Fatalf("a new n did not miss: misses=%d", misses)
+	}
+	if got := ns.costCache[c]; len(got.tables) != 1 || !slices.Equal(got.tables[0].deps, []string{"n"}) {
+		t.Fatalf("tables = %+v, want one keyed on [n]", got.tables)
 	}
 }
 
-// BenchmarkKernelCost compares the memoized lookup against a fresh AST-walk
-// evaluation — the per-launch saving for iterative applications.
-func BenchmarkKernelCost(b *testing.B) {
+// A zero divisor makes the dividend irrelevant, so the same kernel keys
+// launches on different parameter sets; each set gets its own table.
+func TestCostCacheTablePerDepSet(t *testing.T) {
 	cfg := DefaultConfig(1, "k20")
 	cl, _ := NewCluster(cfg)
-	ks, err := mustKSBench("scale", scaleKernel)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cl.Register(ks)
+	cl.Register(mustKS(t, "q", `
+perfect void q(int n, int d, float[4096] a) {
+  int m = n / d;
+  foreach (int i in m threads) {
+    a[i] = 1.0;
+  }
+}
+`))
 	cl.Run(func(ctx *satin.Context) any { return nil })
 	ns := cl.NodeState(0)
-	c := ns.kernels["scale"][0]
-	params := map[string]int64{"n": 1 << 20}
+	c := ns.kernels["q"][0]
+	launches := []struct {
+		n, d int64
+		hit  bool
+	}{{64, 0, false}, {128, 0, true}, {64, 2, false}, {64, 2, true}, {128, 2, false}, {7, 0, true}}
+	for _, l := range launches {
+		p := map[string]int64{"n": l.n, "d": l.d}
+		h0, _ := ns.CostCacheStats()
+		got, err := ns.kernelCost(c, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := c.Cost(p); got != want {
+			t.Fatalf("%v: cached %+v, fresh %+v", p, got, want)
+		}
+		if h1, _ := ns.CostCacheStats(); (h1 > h0) != l.hit {
+			t.Fatalf("%v: hit=%v, want %v", p, h1 > h0, l.hit)
+		}
+	}
+	if n := len(ns.costCache[c].tables); n != 2 {
+		t.Fatalf("%d tables, want 2", n)
+	}
+}
+
+// A launch missing a parameter the cost does not depend on must still fail
+// once a complete launch has filled the cache.
+func TestCostCacheMissingParamNotServed(t *testing.T) {
+	ns, c := offsetNode(t)
+	if _, err := ns.kernelCost(c, map[string]int64{"n": 64, "off": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ns.kernelCost(c, map[string]int64{"n": 64}); err == nil {
+		t.Fatal("launch without off served from the cache")
+	}
+}
+
+// BenchmarkKernelCost compares the memoized lookup against a fresh
+// evaluation — the per-launch saving. The memoized loop changes off, which
+// the cost does not depend on, on every launch, as raytracer leaves change
+// y0; make bench-allocs pins it at 0 allocs/op.
+func BenchmarkKernelCost(b *testing.B) {
+	ns, c := offsetNode(b)
+	params := map[string]int64{"n": 1 << 20, "off": 0}
 
 	b.Run("memoized", func(b *testing.B) {
 		b.ReportAllocs()
+		if _, err := ns.kernelCost(c, params); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			params["off"] = int64(i)
 			if _, err := ns.kernelCost(c, params); err != nil {
 				b.Fatal(err)
 			}

@@ -14,6 +14,7 @@ package codegen
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"cashmere/internal/mcl/mcpl"
 )
@@ -76,6 +77,10 @@ type Report struct {
 	// ThreadParallelism is the product of the foreach extents: the exposed
 	// parallelism of the launch.
 	ThreadParallelism float64
+
+	// Deps lists, sorted, the scalar int parameters whose values the report
+	// depends on. Two launches that agree on them get identical reports.
+	Deps []string
 }
 
 // TotalBytes reports the modeled off-chip traffic.
@@ -101,20 +106,49 @@ func (r *Report) CoalescedFrac() float64 {
 	return r.CoalescedBytes / lane
 }
 
+// checkCalls counts the type checks this package runs, so tests can pin
+// that launches reuse the Info their kernel set was checked with.
+var checkCalls atomic.Int64
+
+func check(prog *mcpl.Program) (*mcpl.Info, error) {
+	checkCalls.Add(1)
+	return mcpl.Check(prog)
+}
+
 // Analyze statically analyzes a kernel launch. params maps every scalar int
 // parameter to its concrete launch value; simdWidth is the lane width of the
 // target device (32 for NVIDIA, 64 for AMD, 16 for the Phi, 4 for SSE CPUs).
+// It type-checks prog first; callers holding the checker's Info use
+// AnalyzeChecked.
 func Analyze(prog *mcpl.Program, kernel string, params map[string]int64, simdWidth int) (*Report, error) {
+	info, err := check(prog)
+	if err != nil {
+		return nil, fmt.Errorf("codegen: kernel does not type-check: %w", err)
+	}
+	return AnalyzeChecked(info, kernel, params, simdWidth)
+}
+
+// AnalyzeChecked is Analyze for a program already type-checked into info.
+//
+// Report.Deps is sound by construction. The traversal visits every statement
+// and expression the same way whatever the parameter values: loops are
+// walked once, both branches of every if, and no abstract value decides
+// which code is visited. Parameter values enter the report only where the
+// analyzer turns a constant into a decision (foreach extents, for-loop
+// init/step/bound, @expect hints, array dimensions, the constant factor of an
+// affine product, the divisor test of / and %, and the t == f test of ?:).
+// Each abstract value carries the set of parameters its constant was
+// computed from, and every such site marks that set observed. So two
+// launches that agree on the observed parameters take identical decisions
+// and get identical reports.
+func AnalyzeChecked(info *mcpl.Info, kernel string, params map[string]int64, simdWidth int) (*Report, error) {
+	prog := info.Prog
 	f := prog.Kernel(kernel)
 	if f == nil {
 		return nil, fmt.Errorf("codegen: kernel %q not found", kernel)
 	}
 	if simdWidth < 1 {
 		simdWidth = 1
-	}
-	info, err := mcpl.Check(prog)
-	if err != nil {
-		return nil, fmt.Errorf("codegen: kernel does not type-check: %w", err)
 	}
 	a := &analyzer{
 		prog:   prog,
@@ -125,6 +159,7 @@ func Analyze(prog *mcpl.Program, kernel string, params map[string]int64, simdWid
 		dims:   map[string][]mcpl.Expr{},
 	}
 	env := map[string]*aval{}
+	var names []string // scalar int parameters, by dependency bit
 	for _, prm := range f.Params {
 		if prm.Type.IsArray() {
 			space := prm.Space
@@ -143,25 +178,42 @@ func Analyze(prog *mcpl.Program, kernel string, params map[string]int64, simdWid
 		if !ok {
 			return nil, fmt.Errorf("codegen: missing launch value for scalar parameter %q", prm.Name)
 		}
-		env[prm.Name] = &aval{val: v}
+		av := &aval{val: v}
+		if len(names) < 64 {
+			av.deps = 1 << len(names)
+		} else {
+			// Beyond the bitset: conservatively a dependency.
+			a.rep.Deps = append(a.rep.Deps, prm.Name)
+		}
+		names = append(names, prm.Name)
+		env[prm.Name] = av
 	}
 	a.block(f.Body, env, ctx{mult: 1})
 	sort.Slice(a.rep.Warnings, func(i, j int) bool { return a.rep.Warnings[i] < a.rep.Warnings[j] })
+	for i, name := range names {
+		if i < 64 && a.observed&(1<<i) != 0 {
+			a.rep.Deps = append(a.rep.Deps, name)
+		}
+	}
+	sort.Strings(a.rep.Deps)
 	return a.rep, nil
 }
 
 // aval is an abstract value: constant + affine combination of parallel/loop
-// variables + a data-dependence taint.
+// variables + a data-dependence taint. deps is the set of scalar int
+// parameters (bit i = the kernel's i-th one) val was computed from;
+// coefficients only ever carry observed parameters (see mulval).
 type aval struct {
 	val     int64
 	coeffs  map[string]int64 // variable name -> coefficient
 	dataDep bool
+	deps    uint64
 }
 
 func (v *aval) known() bool { return v != nil && !v.dataDep && len(v.coeffs) == 0 }
 
 func (v *aval) clone() *aval {
-	nv := &aval{val: v.val, dataDep: v.dataDep}
+	nv := &aval{val: v.val, dataDep: v.dataDep, deps: v.deps}
 	if len(v.coeffs) > 0 {
 		nv.coeffs = make(map[string]int64, len(v.coeffs))
 		for k, c := range v.coeffs {
@@ -179,7 +231,7 @@ func unknown() *aval { return &aval{dataDep: true} }
 func symval() *aval { return &aval{coeffs: map[string]int64{"$sym": 1}} }
 
 func add(a, b *aval, sign int64) *aval {
-	out := &aval{val: a.val + sign*b.val, dataDep: a.dataDep || b.dataDep}
+	out := &aval{val: a.val + sign*b.val, dataDep: a.dataDep || b.dataDep, deps: a.deps | b.deps}
 	out.coeffs = map[string]int64{}
 	for k, c := range a.coeffs {
 		out.coeffs[k] += c
@@ -195,15 +247,18 @@ func add(a, b *aval, sign int64) *aval {
 	return out
 }
 
-func mulval(a, b *aval) *aval {
+func (an *analyzer) mulval(a, b *aval) *aval {
 	// Affine × constant stays affine; anything else is data-dependent for
 	// stride purposes (conservative).
 	if a.known() {
 		a, b = b, a
 	}
 	if b.known() {
-		out := &aval{val: a.val * b.val, dataDep: a.dataDep}
+		out := &aval{val: a.val * b.val, dataDep: a.dataDep, deps: a.deps | b.deps}
 		out.coeffs = map[string]int64{}
+		if len(a.coeffs) > 0 {
+			an.observe(b) // the constant scales the coefficients
+		}
 		for k, c := range a.coeffs {
 			out.coeffs[k] = c * b.val
 		}
@@ -230,7 +285,15 @@ type analyzer struct {
 	spaces map[string]mcpl.Space
 	dims   map[string][]mcpl.Expr
 
-	warned map[string]bool
+	warned   map[string]bool
+	observed uint64 // parameters whose values decided the report
+}
+
+// observe records that the constants of vs decided the report.
+func (a *analyzer) observe(vs ...*aval) {
+	for _, v := range vs {
+		a.observed |= v.deps
+	}
 }
 
 // isFloat reports whether the checker assigned a floating-point type to the
@@ -322,6 +385,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 				for _, d := range st.Type.Dims {
 					dv := a.eval(d, env, c)
 					if dv.known() {
+						a.observe(dv)
 						size *= dv.val
 					} else {
 						a.warn("%v: local array %s has non-constant dimension; occupancy unknown", st.Pos, st.Name)
@@ -347,7 +411,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 				if !ok {
 					old = unknown()
 				}
-				env[lhs.Name] = combineOp(st.Op, old, rhs)
+				env[lhs.Name] = a.combineOp(st.Op, old, rhs)
 				if a.isFloat(st.Lhs) {
 					a.flops(1, c) // compound assign implies an arithmetic op
 				}
@@ -406,6 +470,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 		if st.Expect != nil {
 			ev := a.eval(st.Expect, env, c)
 			if ev.known() {
+				a.observe(ev)
 				trips = float64(ev.val)
 			}
 		} else {
@@ -423,6 +488,7 @@ func (a *analyzer) stmt(s mcpl.Stmt, env map[string]*aval, c ctx) {
 		bound := a.eval(st.Bound, env, c)
 		extent := float64(1)
 		if bound.known() {
+			a.observe(bound)
 			extent = float64(bound.val)
 		} else {
 			a.warn("%v: foreach bound %s is not a launch constant", st.Pos, mcpl.ExprString(st.Bound))
@@ -457,14 +523,14 @@ func incSign(op string) int64 {
 	return 1
 }
 
-func combineOp(op string, old, rhs *aval) *aval {
+func (a *analyzer) combineOp(op string, old, rhs *aval) *aval {
 	switch op {
 	case "+=":
 		return add(old, rhs, 1)
 	case "-=":
 		return add(old, rhs, -1)
 	case "*=":
-		return mulval(old, rhs)
+		return a.mulval(old, rhs)
 	default:
 		return unknown()
 	}
@@ -475,6 +541,7 @@ func (a *analyzer) tripCount(st *mcpl.For, env map[string]*aval, c ctx) float64 
 	if st.Expect != nil {
 		ev := a.eval(st.Expect, env, c)
 		if ev.known() {
+			a.observe(ev)
 			return float64(ev.val)
 		}
 	}
@@ -503,6 +570,7 @@ func (a *analyzer) tripCount(st *mcpl.For, env map[string]*aval, c ctx) float64 
 		if id, ok := po.Lhs.(*mcpl.Ident); ok && id.Name == name {
 			rv := a.eval(po.Rhs, env, c)
 			if rv.known() {
+				a.observe(rv)
 				switch po.Op {
 				case "+=":
 					step = rv.val
@@ -516,6 +584,7 @@ func (a *analyzer) tripCount(st *mcpl.For, env map[string]*aval, c ctx) float64 
 		if id, ok := cond.L.(*mcpl.Ident); ok && id.Name == name {
 			bound := a.eval(cond.R, env, c)
 			if bound.known() {
+				a.observe(initVal, bound)
 				var n int64
 				switch cond.Op {
 				case "<":
@@ -564,6 +633,7 @@ func (a *analyzer) access(x *mcpl.Index, env map[string]*aval, c ctx, write bool
 		strides[i] = s
 		dv := a.eval(dims[i], env, c)
 		if dv.known() {
+			a.observe(dv)
 			s *= dv.val
 		} else {
 			ok = false
@@ -657,7 +727,7 @@ func (a *analyzer) eval(x mcpl.Expr, env map[string]*aval, c ctx) *aval {
 			if a.isFloat(v) {
 				a.flops(0.5, c) // negation is cheap; count fractionally
 			}
-			return mulval(xv, &aval{val: -1})
+			return a.mulval(xv, &aval{val: -1})
 		}
 		return xv
 	case *mcpl.Cast:
@@ -671,8 +741,11 @@ func (a *analyzer) eval(x mcpl.Expr, env map[string]*aval, c ctx) *aval {
 		}
 		t := a.eval(v.T, env, cc)
 		f := a.eval(v.F, env, cc)
-		if t.known() && f.known() && t.val == f.val {
-			return t
+		if t.known() && f.known() {
+			a.observe(t, f)
+			if t.val == f.val {
+				return t
+			}
 		}
 		out := unknown()
 		out.dataDep = cv.dataDep || t.dataDep || f.dataDep
@@ -692,15 +765,21 @@ func (a *analyzer) eval(x mcpl.Expr, env map[string]*aval, c ctx) *aval {
 		case "-":
 			return add(l, r, -1)
 		case "*":
-			return mulval(l, r)
+			return a.mulval(l, r)
 		case "/":
-			if r.known() && r.val != 0 && l.known() {
-				return &aval{val: l.val / r.val}
+			if l.known() && r.known() {
+				a.observe(r)
+				if r.val != 0 {
+					return &aval{val: l.val / r.val, deps: l.deps | r.deps}
+				}
 			}
 			return &aval{dataDep: l.dataDep || r.dataDep || len(l.coeffs) > 0}
 		case "%":
-			if l.known() && r.known() && r.val != 0 {
-				return &aval{val: l.val % r.val}
+			if l.known() && r.known() {
+				a.observe(r)
+				if r.val != 0 {
+					return &aval{val: l.val % r.val, deps: l.deps | r.deps}
+				}
 			}
 			return &aval{dataDep: true}
 		case "<", "<=", ">", ">=", "==", "!=":
@@ -713,17 +792,18 @@ func (a *analyzer) eval(x mcpl.Expr, env map[string]*aval, c ctx) *aval {
 			return &aval{dataDep: l.dataDep || r.dataDep}
 		default: // bit ops
 			if l.known() && r.known() {
+				deps := l.deps | r.deps
 				switch v.Op {
 				case "<<":
-					return &aval{val: l.val << uint(r.val&63)}
+					return &aval{val: l.val << uint(r.val&63), deps: deps}
 				case ">>":
-					return &aval{val: l.val >> uint(r.val&63)}
+					return &aval{val: l.val >> uint(r.val&63), deps: deps}
 				case "&":
-					return &aval{val: l.val & r.val}
+					return &aval{val: l.val & r.val, deps: deps}
 				case "|":
-					return &aval{val: l.val | r.val}
+					return &aval{val: l.val | r.val, deps: deps}
 				case "^":
-					return &aval{val: l.val ^ r.val}
+					return &aval{val: l.val ^ r.val, deps: deps}
 				}
 			}
 			return &aval{dataDep: l.dataDep || r.dataDep || len(l.coeffs)+len(r.coeffs) > 0}

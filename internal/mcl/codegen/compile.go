@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,19 +21,22 @@ type KernelSet struct {
 	Name     string
 	Versions map[string]*mcpl.Program // level -> program containing the kernel
 
-	sources map[string]string // level -> source text, for Fingerprint
+	sources map[string]string     // level -> source text, for Fingerprint
+	infos   map[string]*mcpl.Info // level -> checker result, shared by every Compiled
 }
 
 // NewKernelSet parses and checks each source file and indexes the versions
-// of the named kernel by their declared level.
+// of the named kernel by their declared level. Each version is checked here
+// once; compiled forms reuse the result for every cost analysis.
 func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
-	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Program{}, sources: map[string]string{}}
+	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Program{}, sources: map[string]string{}, infos: map[string]*mcpl.Info{}}
 	for i, src := range sources {
 		prog, err := mcpl.Parse(src)
 		if err != nil {
 			return nil, fmt.Errorf("codegen: kernel %s, source %d: %w", name, i, err)
 		}
-		if _, err := mcpl.Check(prog); err != nil {
+		info, err := check(prog)
+		if err != nil {
 			return nil, fmt.Errorf("codegen: kernel %s, source %d: %w", name, i, err)
 		}
 		k := prog.Kernel(name)
@@ -44,6 +48,7 @@ func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
 		}
 		ks.Versions[k.Level] = prog
 		ks.sources[k.Level] = src
+		ks.infos[k.Level] = info
 	}
 	if len(ks.Versions) == 0 {
 		return nil, fmt.Errorf("codegen: kernel %s has no versions", name)
@@ -78,6 +83,10 @@ func (ks *KernelSet) Fingerprint() uint64 {
 	return h
 }
 
+// Info returns the type-checked program of the version at level (nil when
+// there is none).
+func (ks *KernelSet) Info(level string) *mcpl.Info { return ks.infos[level] }
+
 // Levels returns the available version levels, sorted.
 func (ks *KernelSet) Levels() []string {
 	var out []string
@@ -98,6 +107,7 @@ type Compiled struct {
 	OpenCL      string // generated device code (translated to the leaf)
 
 	src        *mcpl.Program // the selected version, used for execution/analysis
+	info       *mcpl.Info    // src's checker result, from the kernel set
 	translated *mcpl.Program
 	spec       *device.Spec
 	engine     *closure.Kernel // closure-compiled fast engine; nil -> interp
@@ -187,6 +197,7 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		Distance:    lv.Depth() - srcLv.Depth(),
 		OpenCL:      text,
 		src:         src,
+		info:        ks.infos[level],
 		translated:  tr,
 		spec:        spec,
 		engine:      engineFor(src, ks.Name),
@@ -212,9 +223,24 @@ func leafWorkgroupLimit(lv *hdl.Level) int64 {
 // the kernel fixes its own blocks-of-threads structure (hand-optimized
 // versions pin their geometry in the source).
 func (c *Compiled) FlatLaunchDims() int {
-	f := c.src.Kernel(c.Name)
-	groups, threads, total := 0, 0, 0
-	cur := f.Body
+	nest := c.foreachNest()
+	groups := 0
+	for _, fe := range nest {
+		if isGroupUnit(fe.Unit) {
+			groups++
+		}
+	}
+	if groups > 0 && 2*groups == len(nest) {
+		return 0
+	}
+	return len(nest)
+}
+
+// foreachNest returns the kernel's launch nest: the first foreach of the
+// body, the first foreach of its body, and so on.
+func (c *Compiled) foreachNest() []*mcpl.Foreach {
+	var nest []*mcpl.Foreach
+	cur := c.src.Kernel(c.Name).Body
 	for {
 		var fe *mcpl.Foreach
 		for _, s := range cur.Stmts {
@@ -224,21 +250,16 @@ func (c *Compiled) FlatLaunchDims() int {
 			}
 		}
 		if fe == nil {
-			break
+			return nest
 		}
-		total++
-		if fe.Unit != "threads" && fe.Unit != "vectors" {
-			groups++
-		} else {
-			threads++
-		}
+		nest = append(nest, fe)
 		cur = fe.Body
 	}
-	if groups > 0 && groups == threads {
-		return 0
-	}
-	return total
 }
+
+// isGroupUnit reports whether a foreach unit is a group dimension
+// (blocks/cores) rather than a thread dimension (threads/vectors).
+func isGroupUnit(unit string) bool { return unit != "threads" && unit != "vectors" }
 
 // SetLaunchExtents overrides the work-group extents of the kernel's flat
 // foreach nest (the launch-time local size of the generated OpenCL, which
@@ -299,13 +320,13 @@ func (c *Compiled) Run(args ...any) error {
 }
 
 // Analyze runs the cost analysis for a launch with the given scalar
-// parameters.
+// parameters, reusing the kernel set's type check.
 func (c *Compiled) Analyze(params map[string]int64) (*Report, error) {
 	simd := 32
 	if c.spec != nil {
 		simd = c.spec.SIMDWidth
 	}
-	return Analyze(c.src, c.Name, params, simd)
+	return AnalyzeChecked(c.info, c.Name, params, simd)
 }
 
 // Cost returns the device cost descriptor for a launch. With
@@ -313,15 +334,31 @@ func (c *Compiled) Analyze(params map[string]int64) (*Report, error) {
 // degrades the efficiency terms (see geometryEff); kernels whose geometry
 // cannot be derived for the parameters fall back to the pure analysis cost.
 func (c *Compiled) Cost(params map[string]int64) (device.KernelCost, error) {
+	kc, _, err := c.CostDeps(params)
+	return kc, err
+}
+
+// CostDeps is Cost plus the sorted names of the parameters the cost depends
+// on: the analysis report's Deps and, with geometry cost on, the identifiers
+// of the foreach-nest bounds LaunchConfig reads. Every launch that supplies
+// the kernel's scalar int parameters and agrees with params on these names
+// has the same cost.
+func (c *Compiled) CostDeps(params map[string]int64) (device.KernelCost, []string, error) {
 	if c.spec == nil {
-		return device.KernelCost{}, fmt.Errorf("codegen: no device model for leaf %q", c.Leaf)
+		return device.KernelCost{}, nil, fmt.Errorf("codegen: no device model for leaf %q", c.Leaf)
 	}
 	rep, err := c.Analyze(params)
 	if err != nil {
-		return device.KernelCost{}, err
+		return device.KernelCost{}, nil, err
 	}
 	kc := Cost(rep, c.spec, c.Distance)
+	deps := rep.Deps
 	if c.geomCost {
+		for _, fe := range c.foreachNest() {
+			deps = appendIdents(deps, fe.Bound)
+		}
+		sort.Strings(deps)
+		deps = slices.Compact(deps)
 		if g, gerr := c.LaunchConfig(params); gerr == nil {
 			eff := geometryEff(c.spec, c.maxWG, g)
 			kc.ComputeEff *= eff
@@ -334,7 +371,32 @@ func (c *Compiled) Cost(params map[string]int64) (device.KernelCost, error) {
 			}
 		}
 	}
-	return kc, nil
+	return kc, deps, nil
+}
+
+// IntParams returns the names of the kernel's scalar int parameters, which
+// every launch must supply.
+func (c *Compiled) IntParams() []string {
+	var out []string
+	for _, prm := range c.src.Kernel(c.Name).Params {
+		if !prm.Type.IsArray() && prm.Type.Kind == mcpl.KindInt {
+			out = append(out, prm.Name)
+		}
+	}
+	return out
+}
+
+// appendIdents appends the identifiers x reads.
+func appendIdents(out []string, x mcpl.Expr) []string {
+	switch v := x.(type) {
+	case *mcpl.Ident:
+		return append(out, v.Name)
+	case *mcpl.Binary:
+		return appendIdents(appendIdents(out, v.L), v.R)
+	case *mcpl.Unary:
+		return appendIdents(out, v.X)
+	}
+	return out
 }
 
 // Glue is the launch configuration MCL generates for Cashmere: the OpenCL
@@ -361,30 +423,17 @@ func (g Glue) Items() int64 {
 // LaunchConfig computes the glue configuration for a launch with the given
 // scalar parameters.
 func (c *Compiled) LaunchConfig(params map[string]int64) (Glue, error) {
-	f := c.src.Kernel(c.Name)
 	type dim struct {
 		bound int64
 		group bool // blocks/cores vs threads/vectors
 	}
 	var dims []dim
-	cur := f.Body
-	for {
-		var fe *mcpl.Foreach
-		for _, s := range cur.Stmts {
-			if x, ok := s.(*mcpl.Foreach); ok {
-				fe = x
-				break
-			}
-		}
-		if fe == nil {
-			break
-		}
+	for _, fe := range c.foreachNest() {
 		b, err := evalIntExpr(fe.Bound, params)
 		if err != nil {
 			return Glue{}, fmt.Errorf("codegen: foreach bound %s: %w", mcpl.ExprString(fe.Bound), err)
 		}
-		dims = append(dims, dim{bound: b, group: fe.Unit != "threads" && fe.Unit != "vectors"})
-		cur = fe.Body
+		dims = append(dims, dim{bound: b, group: isGroupUnit(fe.Unit)})
 	}
 	if len(dims) == 0 {
 		return Glue{}, fmt.Errorf("codegen: kernel %s has no foreach parallelism", c.Name)

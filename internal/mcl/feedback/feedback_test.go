@@ -51,16 +51,17 @@ gpu void matmul(int n, int m, int p,
 }
 `
 
-func prog(t *testing.T, src string) *mcpl.Program {
+func checked(t *testing.T, src string) *mcpl.Info {
 	t.Helper()
 	p, err := mcpl.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mcpl.Check(p); err != nil {
+	info, err := mcpl.Check(p)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return info
 }
 
 func lv(t *testing.T, name string) *hdl.Level {
@@ -77,7 +78,7 @@ var matmulParams = map[string]int64{"n": 2048, "m": 2048, "p": 2048}
 func TestNoFeedbackAtPerfect(t *testing.T) {
 	// Stepwise refinement starts at perfect, where the idealized hardware
 	// yields no feedback.
-	msgs, err := Generate(prog(t, matmulPerfect), "matmul", matmulParams, lv(t, "perfect"), nil)
+	msgs, err := Generate(checked(t, matmulPerfect), "matmul", matmulParams, lv(t, "perfect"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestNoFeedbackAtPerfect(t *testing.T) {
 func TestGPUFeedbackSuggestsLocalMemory(t *testing.T) {
 	// Moving to level gpu, the compiler points at the k-loop reload of a,
 	// the hint that leads to the tiled version.
-	msgs, err := Generate(prog(t, matmulPerfect), "matmul", matmulParams, lv(t, "gpu"), nil)
+	msgs, err := Generate(checked(t, matmulPerfect), "matmul", matmulParams, lv(t, "gpu"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestGPUFeedbackSuggestsLocalMemory(t *testing.T) {
 }
 
 func TestTiledKernelSilencesLocalMemoryRule(t *testing.T) {
-	msgs, err := Generate(prog(t, matmulGPU), "matmul", matmulParams, lv(t, "gpu"), nil)
+	msgs, err := Generate(checked(t, matmulGPU), "matmul", matmulParams, lv(t, "gpu"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ gpu void badread(int n, int m, float[n,m] a, float[m,n] out) {
     }
   }
 }`
-	msgs, err := Generate(prog(t, src), "badread", map[string]int64{"n": 512, "m": 512}, lv(t, "gpu"), nil)
+	msgs, err := Generate(checked(t, src), "badread", map[string]int64{"n": 512, "m": 512}, lv(t, "gpu"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ perfect void diverge(int n, float[n] a, float[n] out) {
     out[i] = acc;
   }
 }`
-	msgs, err := Generate(prog(t, src), "diverge", map[string]int64{"n": 1 << 20}, lv(t, "gpu"), nil)
+	msgs, err := Generate(checked(t, src), "diverge", map[string]int64{"n": 1 << 20}, lv(t, "gpu"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ gpu void big(int n, float[n] a) {
     }
   }
 }`
-	msgs, err := Generate(prog(t, src), "big", map[string]int64{"n": 1 << 20}, lv(t, "gpu"), nil)
+	msgs, err := Generate(checked(t, src), "big", map[string]int64{"n": 1 << 20}, lv(t, "gpu"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ gpu void big(int n, float[n] a) {
 		t.Fatalf("no local-capacity problem in %v", msgs)
 	}
 	// The same kernel fits on hd7970 (64K local memory).
-	msgs, err = Generate(prog(t, src), "big", map[string]int64{"n": 1 << 20}, lv(t, "hd7970"), device.Catalog()["hd7970"])
+	msgs, err = Generate(checked(t, src), "big", map[string]int64{"n": 1 << 20}, lv(t, "hd7970"), device.Catalog()["hd7970"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ gpu void big(int n, float[n] a) {
 }
 
 func TestOccupancyWarningWithDevice(t *testing.T) {
-	msgs, err := Generate(prog(t, matmulPerfect), "matmul",
+	msgs, err := Generate(checked(t, matmulPerfect), "matmul",
 		map[string]int64{"n": 16, "m": 16, "p": 16}, lv(t, "gtx480"), device.Catalog()["gtx480"])
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +239,7 @@ func TestEmptyParamsMap(t *testing.T) {
 	// descriptive error naming the missing parameter — never a panic — so
 	// the tuner can skip feedback scoring and keep searching.
 	for _, params := range []map[string]int64{{}, nil} {
-		_, err := Generate(prog(t, matmulPerfect), "matmul", params, lv(t, "gpu"), nil)
+		_, err := Generate(checked(t, matmulPerfect), "matmul", params, lv(t, "gpu"), nil)
 		if err == nil {
 			t.Fatalf("params=%v: missing scalar parameters accepted", params)
 		}
@@ -253,12 +254,12 @@ perfect void fill(float[1024] a) {
     a[i] = 0.0;
   }
 }`
-	if _, err := Generate(prog(t, src), "fill", map[string]int64{}, lv(t, "gpu"), nil); err != nil {
+	if _, err := Generate(checked(t, src), "fill", map[string]int64{}, lv(t, "gpu"), nil); err != nil {
 		t.Fatalf("scalar-free kernel rejected empty params: %v", err)
 	}
 	// At perfect there is nothing to analyze, so even missing parameters
 	// cannot fail.
-	if msgs, err := Generate(prog(t, matmulPerfect), "matmul", nil, lv(t, "perfect"), nil); err != nil || len(msgs) != 0 {
+	if msgs, err := Generate(checked(t, matmulPerfect), "matmul", nil, lv(t, "perfect"), nil); err != nil || len(msgs) != 0 {
 		t.Fatalf("perfect with nil params: msgs=%v err=%v", msgs, err)
 	}
 }
@@ -285,7 +286,7 @@ func TestCountSeverityOrdering(t *testing.T) {
 }
 
 func TestUnknownKernel(t *testing.T) {
-	if _, err := Generate(prog(t, matmulPerfect), "nope", nil, lv(t, "gpu"), nil); err == nil {
+	if _, err := Generate(checked(t, matmulPerfect), "nope", nil, lv(t, "gpu"), nil); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
 }
