@@ -53,6 +53,10 @@ func main() {
 	metrics := flag.Bool("metrics", false,
 		"print the metrics dump of the heterogeneous k-means run and exit")
 	flag.Parse()
+	if *partitionsF < 0 {
+		fmt.Fprintf(os.Stderr, "cashmere-bench: -partitions must be 0 (auto) or positive, got %d\n", *partitionsF)
+		os.Exit(2)
+	}
 	bench.SetParallelism(*parallel)
 	partitions = *partitionsF
 	if partitions == 0 {

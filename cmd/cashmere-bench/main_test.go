@@ -1,0 +1,50 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// mainEnv makes the test binary run main instead of the tests, so a test
+// can drive the command line end to end and observe its exit status.
+const mainEnv = "CASHMERE_BENCH_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(mainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs main with args in a child process and returns its stderr and
+// exit status.
+func runMain(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), mainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return stderr.String(), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stderr.String(), 0
+}
+
+// TestBadPartitions checks that a negative -partitions is a usage error
+// (exit status 2) instead of a silent fallback to auto.
+func TestBadPartitions(t *testing.T) {
+	stderr, code := runMain(t, "-partitions", "-3")
+	want := "cashmere-bench: -partitions must be 0 (auto) or positive, got -3\n"
+	if code != 2 || stderr != want {
+		t.Errorf("exit %d, stderr %q; want exit 2, stderr %q", code, stderr, want)
+	}
+}

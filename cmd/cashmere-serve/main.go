@@ -87,6 +87,12 @@ func main() {
 	tuneF := flag.Bool("tune", false,
 		"auto-tune every workload kernel for the device before serving: tuned levels and launch geometries replace the hand-picked compiles, and per-class batch caps derive from the tuned costs")
 	flag.Parse()
+	if !(*load > 0) {
+		usage("-load must be a positive fraction of capacity, got %v", *load)
+	}
+	if *partitions < 0 {
+		usage("-partitions must be 0 (auto) or positive, got %d", *partitions)
+	}
 	bench.SetParallelism(*parallel)
 	if *partitions == 0 {
 		if *traceF != "" {
@@ -130,6 +136,12 @@ type runOpts struct {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "cashmere-serve:", err)
 	os.Exit(1)
+}
+
+// usage reports a bad command line and exits with status 2, as flag does.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "cashmere-serve: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func runOnce(nodes int, dev string, horizon time.Duration, load float64, arrival string, seed int64, partitions int, opts runOpts) error {

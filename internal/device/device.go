@@ -15,6 +15,7 @@ package device
 
 import (
 	"fmt"
+	"sort"
 	"time"
 )
 
@@ -161,6 +162,7 @@ func Lookup(name string) (*Spec, error) {
 	for n := range c {
 		names = append(names, n)
 	}
+	sort.Strings(names)
 	return nil, fmt.Errorf("device: unknown device %q (catalog: %v)", name, names)
 }
 

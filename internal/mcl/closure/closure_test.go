@@ -90,7 +90,10 @@ perfect void kern(int n, int[n] fibs, float[1] state, float[n] seen) {
 }
 
 // TestRuntimeErrors checks that hot-path failures surface as ordinary
-// errors, matching the interpreter's messages in spirit.
+// errors, matching the interpreter's messages in spirit, and that the
+// interpreter fails on the same input. The index cases pin the full message:
+// a leaf index (slots and literals only, read inline) and a computed index
+// at the same source position must report identical text.
 func TestRuntimeErrors(t *testing.T) {
 	cases := []struct {
 		name, src, kernel, want string
@@ -120,6 +123,46 @@ func TestRuntimeErrors(t *testing.T) {
 			kernel: "k", want: "dimension",
 			args: []any{4, interp.NewFloatArray(3)},
 		},
+		{
+			name: "leaf index out of range in dimension 0",
+			src: `perfect void k(int n, float[n,2] xs, float[n] out) {
+  foreach (int i in n threads) { int j = i + 1; out[i] = xs[j, 0]; }
+}`,
+			kernel: "k", want: "2:60: xs: index 3 out of range [0,3) in dimension 0",
+			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+		},
+		{
+			name: "computed index out of range in dimension 0",
+			src: `perfect void k(int n, float[n,2] xs, float[n] out) {
+  foreach (int i in n threads) { int j = i + 0; out[i] = xs[j+1, 0]; }
+}`,
+			kernel: "k", want: "2:60: xs: index 3 out of range [0,3) in dimension 0",
+			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+		},
+		{
+			name: "leaf index out of range in dimension 1",
+			src: `perfect void k(int n, float[n,2] xs, float[n] out) {
+  foreach (int i in n threads) { int j = i + 1; out[i] = xs[0, j]; }
+}`,
+			kernel: "k", want: "2:60: xs: index 2 out of range [0,2) in dimension 1",
+			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+		},
+		{
+			name: "computed index out of range in dimension 1",
+			src: `perfect void k(int n, float[n,2] xs, float[n] out) {
+  foreach (int i in n threads) { int j = i + 0; out[i] = xs[0, j+1]; }
+}`,
+			kernel: "k", want: "2:60: xs: index 2 out of range [0,2) in dimension 1",
+			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+		},
+		{
+			name: "negative leaf index",
+			src: `perfect void k(int n, int[n,2] xs) {
+  foreach (int i in n threads) { int j = i - 1; xs[j, 1] = i; }
+}`,
+			kernel: "k", want: "2:51: xs: index -1 out of range [0,3) in dimension 0",
+			args: []any{3, interp.NewIntArray(3, 2)},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,6 +170,10 @@ func TestRuntimeErrors(t *testing.T) {
 			err := k.Run(tc.args...)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+			prog, _ := mcpl.Parse(tc.src)
+			if err := interp.Run(prog, tc.kernel, tc.args...); err == nil {
+				t.Fatal("interp succeeded where closure failed")
 			}
 		})
 	}
@@ -152,9 +199,10 @@ perfect void k(int n, float[n] xs) {
 
 // TestUnsupportedFallbackConstruct checks that writing to a scalar declared
 // outside a barrier-synchronized foreach — whose parallel semantics would be
-// racy — is reported with ErrUnsupported so callers fall back to interp.
+// racy — is reported with ErrUnsupported so callers fall back to interp,
+// including when the write is the post statement of a counted for loop.
 func TestUnsupportedFallbackConstruct(t *testing.T) {
-	prog, err := mcpl.Parse(`
+	for _, src := range []string{`
 perfect void k(int n, float[n] xs) {
   float acc = 0.0;
   foreach (int i in n threads) {
@@ -163,16 +211,26 @@ perfect void k(int n, float[n] xs) {
   }
   xs[0] = acc;
 }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mcpl.Check(prog); err != nil {
-		t.Fatal(err)
-	}
-	_, cerr := closure.Compile(prog, "k")
-	if !errors.Is(cerr, closure.ErrUnsupported) {
-		t.Fatalf("Compile err = %v, want ErrUnsupported", cerr)
+`, `
+perfect void k(int n, float[n] xs) {
+  int j = 0;
+  foreach (int i in n threads) {
+    barrier();
+    for (; j < n; j++) { xs[i] += 1.0; }
+  }
+}
+`} {
+		prog, err := mcpl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mcpl.Check(prog); err != nil {
+			t.Fatal(err)
+		}
+		_, cerr := closure.Compile(prog, "k")
+		if !errors.Is(cerr, closure.ErrUnsupported) {
+			t.Fatalf("Compile err = %v, want ErrUnsupported", cerr)
+		}
 	}
 }
 

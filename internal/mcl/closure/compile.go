@@ -397,6 +397,28 @@ func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) (stmtFn, error) {
 		if err != nil {
 			return nil, err
 		}
+		if v, b, le, step, ok := fc.countedFor(st, inner); ok {
+			// A native loop over slots. The body may assign the variable or
+			// the bound, so both are re-read on every iteration.
+			if le {
+				return func(f *frame) ctrl {
+					for init(f); f.i[v] <= f.i[b]; f.i[v] += step {
+						if body(f) == ctrlReturn {
+							return ctrlReturn
+						}
+					}
+					return ctrlNext
+				}, nil
+			}
+			return func(f *frame) ctrl {
+				for init(f); f.i[v] < f.i[b]; f.i[v] += step {
+					if body(f) == ctrlReturn {
+						return ctrlReturn
+					}
+				}
+				return ctrlNext
+			}, nil
+		}
 		return func(f *frame) ctrl {
 			for init(f); cond(f); post(f) {
 				if body(f) == ctrlReturn {
@@ -477,6 +499,46 @@ func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) (stmtFn, error) {
 	}
 }
 
+// countedFor matches a for loop of the form `for (init; v < b; v += step)`
+// (or `<=`, `v++`, `v--`, `v -= step`) with v an int scalar, b an int scalar
+// or literal and step a literal, and returns their slots. The post statement
+// has already compiled, so an assignment the generic path rejects never
+// reaches here.
+func (fc *fcomp) countedFor(st *mcpl.For, sc *cscope) (v, b int, le bool, step int64, ok bool) {
+	cond, isBin := st.Cond.(*mcpl.Binary)
+	if !isBin || (cond.Op != "<" && cond.Op != "<=") {
+		return 0, 0, false, 0, false
+	}
+	vl, bl := fc.leafOf(cond.L, mcpl.KindInt, sc), fc.leafOf(cond.R, mcpl.KindInt, sc)
+	id, isID := cond.L.(*mcpl.Ident)
+	if !isID || vl == nil || vl.idx != nil || bl == nil || bl.idx != nil {
+		return 0, 0, false, 0, false
+	}
+	var lhs mcpl.Expr
+	switch p := st.Post.(type) {
+	case *mcpl.IncDec:
+		lhs, step = p.Lhs, 1
+		if p.Op == "--" {
+			step = -1
+		}
+	case *mcpl.Assign:
+		lit, isLit := p.Rhs.(*mcpl.IntLit)
+		if !isLit || (p.Op != "+=" && p.Op != "-=") {
+			return 0, 0, false, 0, false
+		}
+		lhs, step = p.Lhs, lit.Value
+		if p.Op == "-=" {
+			step = -step
+		}
+	default:
+		return 0, 0, false, 0, false
+	}
+	if pid, isID := lhs.(*mcpl.Ident); !isID || pid.Name != id.Name {
+		return 0, 0, false, 0, false
+	}
+	return vl.slot, bl.slot, cond.Op == "<=", step, true
+}
+
 func (fc *fcomp) varDecl(d *mcpl.VarDecl, sc *cscope) (stmtFn, error) {
 	ref, err := fc.alloc(d.Type, d.Pos)
 	if err != nil {
@@ -511,43 +573,31 @@ func (fc *fcomp) varDecl(d *mcpl.VarDecl, sc *cscope) (stmtFn, error) {
 			return ctrlNext
 		}, nil
 	}
-	var fn stmtFn
-	slot := ref.idx
+	// A scalar declaration is an assignment of its initializer (or zero),
+	// compiled before the name is bound: the initializer cannot see it.
+	init := d.Init
 	switch d.Type.Kind {
 	case mcpl.KindFloat:
-		if d.Init != nil {
-			v, err := fc.floatExpr(d.Init, sc)
-			if err != nil {
-				return nil, err
-			}
-			fn = func(f *frame) ctrl { f.f[slot] = v(f); return ctrlNext }
-		} else {
-			fn = func(f *frame) ctrl { f.f[slot] = 0; return ctrlNext }
+		if init == nil {
+			init = &mcpl.FloatLit{Pos: d.Pos}
 		}
 	case mcpl.KindInt:
-		if d.Init != nil {
-			v, err := fc.intExpr(d.Init, sc)
-			if err != nil {
-				return nil, err
-			}
-			fn = func(f *frame) ctrl { f.i[slot] = v(f); return ctrlNext }
-		} else {
-			fn = func(f *frame) ctrl { f.i[slot] = 0; return ctrlNext }
+		if init == nil {
+			init = &mcpl.IntLit{Pos: d.Pos}
 		}
 	case mcpl.KindBool:
-		if d.Init != nil {
-			v, err := fc.boolExpr(d.Init, sc)
-			if err != nil {
-				return nil, err
-			}
-			fn = func(f *frame) ctrl { f.b[slot] = v(f); return ctrlNext }
-		} else {
-			fn = func(f *frame) ctrl { f.b[slot] = false; return ctrlNext }
+		if init == nil {
+			init = &mcpl.BoolLit{Pos: d.Pos}
 		}
 	default:
 		return nil, unsupported("%v: variable of type %s", d.Pos, d.Type)
 	}
-	sc.vars[d.Name] = symInfo{ref: ref, typ: d.Type}
+	sym := symInfo{ref: ref, typ: d.Type}
+	fn, err := fc.scalarAssign(&mcpl.Assign{Op: "=", Rhs: init, Pos: d.Pos}, sym, sc)
+	if err != nil {
+		return nil, err
+	}
+	sc.vars[d.Name] = sym
 	return fn, nil
 }
 
@@ -573,42 +623,56 @@ func (fc *fcomp) assign(a *mcpl.Assign, sc *cscope) (stmtFn, error) {
 	}
 }
 
+// scalarAssign lowers `x = e` and `x op= e` for a scalar slot x. When e is
+// a leaf, or an arithmetic operator over two leaves, the whole statement is
+// one closure with e read inline.
 func (fc *fcomp) scalarAssign(a *mcpl.Assign, sym symInfo, sc *cscope) (stmtFn, error) {
 	slot := sym.ref.idx
 	switch sym.typ.Kind {
 	case mcpl.KindFloat:
-		rhs, err := fc.floatExpr(a.Rhs, sc)
+		op, ok := floatOp(a.Op)
+		if !ok {
+			return nil, unsupported("%v: operator %s on float", a.Pos, a.Op)
+		}
+		if bop, l, r, ok := fc.leafPair(a.Rhs, mcpl.KindFloat, sc); ok {
+			return func(f *frame) ctrl {
+				f.f[slot] = arith(op, f.f[slot], arith(bop, l.float(f), r.float(f)))
+				return ctrlNext
+			}, nil
+		}
+		rhs, err := fc.floatOperand(a.Rhs, sc)
 		if err != nil {
 			return nil, err
 		}
-		switch a.Op {
-		case "=":
-			return func(f *frame) ctrl { f.f[slot] = rhs(f); return ctrlNext }, nil
-		case "+=":
-			return func(f *frame) ctrl { f.f[slot] += rhs(f); return ctrlNext }, nil
-		case "-=":
-			return func(f *frame) ctrl { f.f[slot] -= rhs(f); return ctrlNext }, nil
-		case "*=":
-			return func(f *frame) ctrl { f.f[slot] *= rhs(f); return ctrlNext }, nil
-		case "/=":
-			return func(f *frame) ctrl { f.f[slot] /= rhs(f); return ctrlNext }, nil
+		if l := rhs.leaf; l != nil {
+			return func(f *frame) ctrl { f.f[slot] = arith(op, f.f[slot], l.float(f)); return ctrlNext }, nil
 		}
-		return nil, unsupported("%v: operator %s on float", a.Pos, a.Op)
+		fn := rhs.fn
+		return func(f *frame) ctrl { f.f[slot] = arith(op, f.f[slot], fn(f)); return ctrlNext }, nil
 	case mcpl.KindInt:
+		if op, ok := intOp(a.Op); ok {
+			if bop, l, r, ok := fc.leafPair(a.Rhs, mcpl.KindInt, sc); ok {
+				return func(f *frame) ctrl {
+					f.i[slot] = arithI(op, f.i[slot], arithI(bop, l.int(f), r.int(f)))
+					return ctrlNext
+				}, nil
+			}
+			rhs, err := fc.intOperand(a.Rhs, sc)
+			if err != nil {
+				return nil, err
+			}
+			if l := rhs.leaf; l != nil {
+				return func(f *frame) ctrl { f.i[slot] = arithI(op, f.i[slot], l.int(f)); return ctrlNext }, nil
+			}
+			fn := rhs.fn
+			return func(f *frame) ctrl { f.i[slot] = arithI(op, f.i[slot], fn(f)); return ctrlNext }, nil
+		}
 		rhs, err := fc.intExpr(a.Rhs, sc)
 		if err != nil {
 			return nil, err
 		}
 		pos := a.Pos
 		switch a.Op {
-		case "=":
-			return func(f *frame) ctrl { f.i[slot] = rhs(f); return ctrlNext }, nil
-		case "+=":
-			return func(f *frame) ctrl { f.i[slot] += rhs(f); return ctrlNext }, nil
-		case "-=":
-			return func(f *frame) ctrl { f.i[slot] -= rhs(f); return ctrlNext }, nil
-		case "*=":
-			return func(f *frame) ctrl { f.i[slot] *= rhs(f); return ctrlNext }, nil
 		case "/=":
 			return func(f *frame) ctrl {
 				r := rhs(f)
@@ -649,37 +713,34 @@ func (fc *fcomp) indexAssign(a *mcpl.Assign, lhs *mcpl.Index, sc *cscope) (stmtF
 	}
 	pos := a.Pos
 	if kind == mcpl.KindFloat {
+		op, ok := floatOp(a.Op)
+		if !ok {
+			return nil, unsupported("%v: operator %s on float element", a.Pos, a.Op)
+		}
 		rhs, err := fc.floatExpr(a.Rhs, sc)
 		if err != nil {
 			return nil, err
 		}
-		switch a.Op {
-		case "=":
-			return func(f *frame) ctrl { arr, off := oi(f); arr.F[off] = rhs(f); return ctrlNext }, nil
-		case "+=":
-			return func(f *frame) ctrl { arr, off := oi(f); arr.F[off] += rhs(f); return ctrlNext }, nil
-		case "-=":
-			return func(f *frame) ctrl { arr, off := oi(f); arr.F[off] -= rhs(f); return ctrlNext }, nil
-		case "*=":
-			return func(f *frame) ctrl { arr, off := oi(f); arr.F[off] *= rhs(f); return ctrlNext }, nil
-		case "/=":
-			return func(f *frame) ctrl { arr, off := oi(f); arr.F[off] /= rhs(f); return ctrlNext }, nil
-		}
-		return nil, unsupported("%v: operator %s on float element", a.Pos, a.Op)
+		return func(f *frame) ctrl {
+			arr, off := oi(f)
+			v := rhs(f)
+			arr.F[off] = arith(op, arr.F[off], v)
+			return ctrlNext
+		}, nil
 	}
 	rhs, err := fc.intExpr(a.Rhs, sc)
 	if err != nil {
 		return nil, err
 	}
+	if op, ok := intOp(a.Op); ok {
+		return func(f *frame) ctrl {
+			arr, off := oi(f)
+			v := rhs(f)
+			arr.I[off] = arithI(op, arr.I[off], v)
+			return ctrlNext
+		}, nil
+	}
 	switch a.Op {
-	case "=":
-		return func(f *frame) ctrl { arr, off := oi(f); arr.I[off] = rhs(f); return ctrlNext }, nil
-	case "+=":
-		return func(f *frame) ctrl { arr, off := oi(f); arr.I[off] += rhs(f); return ctrlNext }, nil
-	case "-=":
-		return func(f *frame) ctrl { arr, off := oi(f); arr.I[off] -= rhs(f); return ctrlNext }, nil
-	case "*=":
-		return func(f *frame) ctrl { arr, off := oi(f); arr.I[off] *= rhs(f); return ctrlNext }, nil
 	case "/=":
 		return func(f *frame) ctrl {
 			arr, off := oi(f)
@@ -953,8 +1014,8 @@ func runParallelBody(body stmtFn, f *frame, pos mcpl.Pos) (err error) {
 // ---------- array indexing ----------
 
 // indexRef compiles an index expression into a closure resolving the target
-// array and flat row-major offset, with per-dimension bounds checks. Ranks
-// one to three are unrolled (every app kernel is rank <= 3).
+// array and flat row-major offset, with per-dimension bounds checks. An
+// element whose indices are all leaves resolves through leaf.elem.
 func (fc *fcomp) indexRef(x *mcpl.Index, sc *cscope) (func(*frame) (*interp.Array, int), mcpl.BasicKind, error) {
 	id := x.Array.(*mcpl.Ident)
 	sym, ok := sc.lookup(id.Name)
@@ -963,6 +1024,9 @@ func (fc *fcomp) indexRef(x *mcpl.Index, sc *cscope) (func(*frame) (*interp.Arra
 	}
 	if len(x.Args) != len(sym.typ.Dims) {
 		return nil, 0, unsupported("%v: array %s rank mismatch", x.Pos, id.Name)
+	}
+	if l := fc.leafOf(x, sym.typ.Kind, sc); l != nil {
+		return l.elem, sym.typ.Kind, nil
 	}
 	idxFns := make([]intFn, len(x.Args))
 	for i, a := range x.Args {
@@ -974,64 +1038,27 @@ func (fc *fcomp) indexRef(x *mcpl.Index, sc *cscope) (func(*frame) (*interp.Arra
 	}
 	slot := sym.ref.idx
 	name, pos := id.Name, x.Pos
-	switch len(idxFns) {
-	case 1:
-		i0 := idxFns[0]
-		return func(f *frame) (*interp.Array, int) {
-			arr := f.a[slot]
-			k0 := i0(f)
-			if uint64(k0) >= uint64(arr.Dims[0]) {
-				throwIndex(pos, name, k0, arr.Dims[0], 0)
+	return func(f *frame) (*interp.Array, int) {
+		arr := f.a[slot]
+		// Every index is evaluated before any is checked, as in interp.
+		var buf [4]int64
+		ks := buf[:0]
+		for _, fn := range idxFns {
+			ks = append(ks, fn(f))
+		}
+		off := 0
+		for d, k := range ks {
+			if uint64(k) >= uint64(arr.Dims[d]) {
+				panic(runtimeError{indexError(pos, name, k, arr.Dims[d], d)})
 			}
-			return arr, int(k0)
-		}, sym.typ.Kind, nil
-	case 2:
-		i0, i1 := idxFns[0], idxFns[1]
-		return func(f *frame) (*interp.Array, int) {
-			arr := f.a[slot]
-			k0, k1 := i0(f), i1(f)
-			if uint64(k0) >= uint64(arr.Dims[0]) {
-				throwIndex(pos, name, k0, arr.Dims[0], 0)
-			}
-			if uint64(k1) >= uint64(arr.Dims[1]) {
-				throwIndex(pos, name, k1, arr.Dims[1], 1)
-			}
-			return arr, int(k0)*arr.Dims[1] + int(k1)
-		}, sym.typ.Kind, nil
-	case 3:
-		i0, i1, i2 := idxFns[0], idxFns[1], idxFns[2]
-		return func(f *frame) (*interp.Array, int) {
-			arr := f.a[slot]
-			k0, k1, k2 := i0(f), i1(f), i2(f)
-			if uint64(k0) >= uint64(arr.Dims[0]) {
-				throwIndex(pos, name, k0, arr.Dims[0], 0)
-			}
-			if uint64(k1) >= uint64(arr.Dims[1]) {
-				throwIndex(pos, name, k1, arr.Dims[1], 1)
-			}
-			if uint64(k2) >= uint64(arr.Dims[2]) {
-				throwIndex(pos, name, k2, arr.Dims[2], 2)
-			}
-			return arr, (int(k0)*arr.Dims[1]+int(k1))*arr.Dims[2] + int(k2)
-		}, sym.typ.Kind, nil
-	default:
-		return func(f *frame) (*interp.Array, int) {
-			arr := f.a[slot]
-			off := 0
-			for d, fn := range idxFns {
-				k := fn(f)
-				if uint64(k) >= uint64(arr.Dims[d]) {
-					throwIndex(pos, name, k, arr.Dims[d], d)
-				}
-				off = off*arr.Dims[d] + int(k)
-			}
-			return arr, off
-		}, sym.typ.Kind, nil
-	}
+			off = off*arr.Dims[d] + int(k)
+		}
+		return arr, off
+	}, sym.typ.Kind, nil
 }
 
-func throwIndex(pos mcpl.Pos, name string, k int64, dim, d int) {
-	throw("%v: %s: index %d out of range [0,%d) in dimension %d", pos, name, k, dim, d)
+func indexError(pos mcpl.Pos, name string, k int64, dim, d int) error {
+	return fmt.Errorf("%v: %s: index %d out of range [0,%d) in dimension %d", pos, name, k, dim, d)
 }
 
 // ---------- helper function calls ----------
@@ -1125,18 +1152,13 @@ func (fc *fcomp) floatExpr(e mcpl.Expr, sc *cscope) (floatFn, error) {
 	return nil, unsupported("%v: %s expression where float expected", e.Position(), t)
 }
 
+// floatNative compiles a float-typed expression; leaves read through
+// leaf.float.
 func (fc *fcomp) floatNative(e mcpl.Expr, sc *cscope) (floatFn, error) {
+	if l := fc.leafOf(e, mcpl.KindFloat, sc); l != nil {
+		return l.float, nil
+	}
 	switch x := e.(type) {
-	case *mcpl.FloatLit:
-		v := x.Value
-		return func(*frame) float64 { return v }, nil
-	case *mcpl.Ident:
-		sym, ok := sc.lookup(x.Name)
-		if !ok {
-			return nil, unsupported("%v: undefined variable %s", x.Pos, x.Name)
-		}
-		slot := sym.ref.idx
-		return func(f *frame) float64 { return f.f[slot] }, nil
 	case *mcpl.Unary: // only "-" yields float
 		v, err := fc.floatExpr(x.X, sc)
 		if err != nil {
@@ -1165,25 +1187,19 @@ func (fc *fcomp) floatNative(e mcpl.Expr, sc *cscope) (floatFn, error) {
 			return fv(f)
 		}, nil
 	case *mcpl.Binary:
-		l, err := fc.floatExpr(x.L, sc)
+		op, ok := floatOp(x.Op)
+		if !ok {
+			return nil, unsupported("%v: float operator %s", x.Pos, x.Op)
+		}
+		l, err := fc.floatOperand(x.L, sc)
 		if err != nil {
 			return nil, err
 		}
-		r, err := fc.floatExpr(x.R, sc)
+		r, err := fc.floatOperand(x.R, sc)
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "+":
-			return func(f *frame) float64 { return l(f) + r(f) }, nil
-		case "-":
-			return func(f *frame) float64 { return l(f) - r(f) }, nil
-		case "*":
-			return func(f *frame) float64 { return l(f) * r(f) }, nil
-		case "/":
-			return func(f *frame) float64 { return l(f) / r(f) }, nil
-		}
-		return nil, unsupported("%v: float operator %s", x.Pos, x.Op)
+		return floatArith(op, l, r), nil
 	case *mcpl.Index:
 		oi, kind, err := fc.indexRef(x, sc)
 		if err != nil {
@@ -1280,18 +1296,12 @@ func (fc *fcomp) intExpr(e mcpl.Expr, sc *cscope) (intFn, error) {
 	return fc.intNative(e, sc)
 }
 
+// intNative compiles an int-typed expression; leaves read through leaf.int.
 func (fc *fcomp) intNative(e mcpl.Expr, sc *cscope) (intFn, error) {
+	if l := fc.leafOf(e, mcpl.KindInt, sc); l != nil {
+		return l.int, nil
+	}
 	switch x := e.(type) {
-	case *mcpl.IntLit:
-		v := x.Value
-		return func(*frame) int64 { return v }, nil
-	case *mcpl.Ident:
-		sym, ok := sc.lookup(x.Name)
-		if !ok {
-			return nil, unsupported("%v: undefined variable %s", x.Pos, x.Name)
-		}
-		slot := sym.ref.idx
-		return func(f *frame) int64 { return f.i[slot] }, nil
 	case *mcpl.Unary:
 		v, err := fc.intExpr(x.X, sc)
 		if err != nil {
@@ -1337,6 +1347,17 @@ func (fc *fcomp) intNative(e mcpl.Expr, sc *cscope) (intFn, error) {
 			return fv(f)
 		}, nil
 	case *mcpl.Binary:
+		if op, ok := intOp(x.Op); ok {
+			l, err := fc.intOperand(x.L, sc)
+			if err != nil {
+				return nil, err
+			}
+			r, err := fc.intOperand(x.R, sc)
+			if err != nil {
+				return nil, err
+			}
+			return intArith(op, l, r), nil
+		}
 		l, err := fc.intExpr(x.L, sc)
 		if err != nil {
 			return nil, err
@@ -1347,12 +1368,6 @@ func (fc *fcomp) intNative(e mcpl.Expr, sc *cscope) (intFn, error) {
 		}
 		pos := x.Pos
 		switch x.Op {
-		case "+":
-			return func(f *frame) int64 { return l(f) + r(f) }, nil
-		case "-":
-			return func(f *frame) int64 { return l(f) - r(f) }, nil
-		case "*":
-			return func(f *frame) int64 { return l(f) * r(f) }, nil
 		case "/":
 			return func(f *frame) int64 {
 				rv := r(f)
@@ -1369,16 +1384,6 @@ func (fc *fcomp) intNative(e mcpl.Expr, sc *cscope) (intFn, error) {
 				}
 				return l(f) % rv
 			}, nil
-		case "<<":
-			return func(f *frame) int64 { return l(f) << uint(r(f)&63) }, nil
-		case ">>":
-			return func(f *frame) int64 { return l(f) >> uint(r(f)&63) }, nil
-		case "&":
-			return func(f *frame) int64 { return l(f) & r(f) }, nil
-		case "|":
-			return func(f *frame) int64 { return l(f) | r(f) }, nil
-		case "^":
-			return func(f *frame) int64 { return l(f) ^ r(f) }, nil
 		}
 		return nil, unsupported("%v: int operator %s", x.Pos, x.Op)
 	case *mcpl.Index:
@@ -1545,51 +1550,25 @@ func (fc *fcomp) compare(x *mcpl.Binary, sc *cscope) (boolFn, error) {
 		}
 		return nil, unsupported("%v: operator %s on boolean", x.Pos, x.Op)
 	}
+	op := cmpOps[x.Op]
 	if lt.Kind == mcpl.KindFloat || rt.Kind == mcpl.KindFloat {
-		l, err := fc.floatExpr(x.L, sc)
+		l, err := fc.floatOperand(x.L, sc)
 		if err != nil {
 			return nil, err
 		}
-		r, err := fc.floatExpr(x.R, sc)
+		r, err := fc.floatOperand(x.R, sc)
 		if err != nil {
 			return nil, err
 		}
-		switch x.Op {
-		case "<":
-			return func(f *frame) bool { return l(f) < r(f) }, nil
-		case "<=":
-			return func(f *frame) bool { return l(f) <= r(f) }, nil
-		case ">":
-			return func(f *frame) bool { return l(f) > r(f) }, nil
-		case ">=":
-			return func(f *frame) bool { return l(f) >= r(f) }, nil
-		case "==":
-			return func(f *frame) bool { return l(f) == r(f) }, nil
-		case "!=":
-			return func(f *frame) bool { return l(f) != r(f) }, nil
-		}
+		return floatCompare(op, l, r), nil
 	}
-	l, err := fc.intExpr(x.L, sc)
+	l, err := fc.intOperand(x.L, sc)
 	if err != nil {
 		return nil, err
 	}
-	r, err := fc.intExpr(x.R, sc)
+	r, err := fc.intOperand(x.R, sc)
 	if err != nil {
 		return nil, err
 	}
-	switch x.Op {
-	case "<":
-		return func(f *frame) bool { return l(f) < r(f) }, nil
-	case "<=":
-		return func(f *frame) bool { return l(f) <= r(f) }, nil
-	case ">":
-		return func(f *frame) bool { return l(f) > r(f) }, nil
-	case ">=":
-		return func(f *frame) bool { return l(f) >= r(f) }, nil
-	case "==":
-		return func(f *frame) bool { return l(f) == r(f) }, nil
-	case "!=":
-		return func(f *frame) bool { return l(f) != r(f) }, nil
-	}
-	return nil, unsupported("%v: comparison %s", x.Pos, x.Op)
+	return intCompare(op, l, r), nil
 }

@@ -31,10 +31,100 @@ func randFloats(r *rand.Rand, dims ...int) *interp.Array {
 }
 
 // diffCases covers every app kernel at every optimization level, including
-// the barrier/local-memory tiled variants.
+// the barrier/local-memory tiled variants, plus the edge cases of the leaf
+// lowering: counted loops whose bound or variable the body reassigns, `<=`
+// and literal bounds, zero-trip loops, int variables widened into float
+// operands and leaves in a helper function's frame.
 func diffCases() []diffCase {
 	scene := func() *interp.Array { return apps.CornellScene() }
+	ints := func(n int) func(*rand.Rand) []any {
+		return func(*rand.Rand) []any { return []any{n, interp.NewIntArray(n)} }
+	}
 	return []diffCase{
+		{
+			name: "leaf/bound-reassigned", kernel: "k", build: ints(6),
+			src: `perfect void k(int n, int[n] out) {
+  foreach (int i in n threads) {
+    int b = i + 3;
+    int acc = 0;
+    for (int j = 0; j < b; j++) {
+      acc += j * 10 + b;
+      if (j == 1) { b = b - 2; }
+    }
+    out[i] = acc;
+  }
+}`,
+		},
+		{
+			name: "leaf/var-reassigned", kernel: "k", build: ints(6),
+			src: `perfect void k(int n, int[n] out) {
+  foreach (int i in n threads) {
+    int acc = 0;
+    for (int j = 0; j < n; j++) {
+      if (j == i) { j = j + 2; }
+      acc += j;
+    }
+    out[i] = acc;
+  }
+}`,
+		},
+		{
+			name: "leaf/le-and-literal-bounds", kernel: "k", build: ints(5),
+			src: `perfect void k(int n, int[n] out) {
+  foreach (int i in n threads) {
+    int acc = 0;
+    for (int j = 1; j <= i; j++) { acc += j; }
+    for (int j = 0; j < 7; j += 3) { acc = acc * 2 + j; }
+    for (int j = 0; j <= 4; j++) { acc -= 1; }
+    for (int j = 9; j < 12; j -= -1) { acc += j; }
+    out[i] = acc;
+  }
+}`,
+		},
+		{
+			name: "leaf/zero-trip", kernel: "k", build: ints(4),
+			src: `perfect void k(int n, int[n] out) {
+  foreach (int i in n threads) {
+    int acc = i;
+    for (int j = 5; j < 3; j++) { acc += 100; }
+    for (int j = 0; j <= 0 - 1; j++) { acc += 1000; }
+    for (int j = i; j < i; j++) { acc += 10000; }
+    out[i] = acc;
+  }
+}`,
+		},
+		{
+			name: "leaf/int-widened", kernel: "k",
+			src: `perfect void k(int n, float[n] xs, float[n] out) {
+  foreach (int i in n threads) {
+    float h = 0.5;
+    float x = i * h + xs[i];
+    x += i;
+    x = (float)i - x;
+    out[i] = x * i + 3;
+  }
+}`,
+			build: func(r *rand.Rand) []any { return []any{5, randFloats(r, 5), interp.NewFloatArray(5)} },
+		},
+		{
+			name: "leaf/helper-frame", kernel: "k",
+			src: `float dot(int d, int m, int row, float[m, d] a, float[d] b) {
+  float s = 0.0;
+  for (int j = 0; j < d; j++) {
+    s += a[row, j] * b[j];
+  }
+  return s - b[0];
+}
+perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
+  foreach (int i in n threads) {
+    out[i] = dot(d, n, i, a, b);
+  }
+}`,
+			build: func(r *rand.Rand) []any {
+				n, d := 6, 3
+				return []any{n, d, randFloats(r, n, d), randFloats(r, d), interp.NewFloatArray(n)}
+			},
+		},
 		{
 			name: "matmul/perfect", src: apps.MatmulPerfect, kernel: "matmul",
 			build: func(r *rand.Rand) []any {

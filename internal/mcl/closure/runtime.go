@@ -11,6 +11,17 @@
 // never box and variable access is a slice index. Frames come from a
 // sync.Pool, keeping per-launch allocation near zero.
 //
+// Leaf operands cost no closure call of their own: a scalar slot, a literal
+// (kept in a read-only frame slot) or an array element whose indices are all
+// slots or literals is read inline by the closure of its parent operator,
+// comparison or assignment, with the same bounds check and message as the
+// generic path. An operator over two leaves is one closure, `x op= l*r` is
+// one closure, and a counted loop `for (init; v < b; v++)` (or `<=`, or a
+// literal step) with v an int variable and b a variable or literal runs as
+// a native Go loop over the slots. That loop re-reads v and b on every
+// iteration because the body may assign either. Any other operand keeps
+// its generic closure.
+//
 // foreach keeps the interpreter's semantics: bodies without barriers run
 // sequentially in the enclosing frame (so reductions over outer scalars
 // work); a foreach whose body contains a direct barrier runs its combined
@@ -27,6 +38,7 @@ package closure
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"cashmere/internal/mcl/interp"
@@ -80,21 +92,32 @@ func (fr *frame) copyFrom(src *frame) {
 }
 
 // layout records the slot-bank sizes of one compiled function and pools its
-// frames.
+// frames. Literal operands get read-only slots (ilits, flits: value to
+// slot), written once when a frame is created; nothing assigns them, so
+// pooled and copied frames keep them.
 type layout struct {
 	nI, nF, nB, nA int
+	ilits          map[int64]int
+	flits          map[uint64]int // keyed by math.Float64bits
 	pool           sync.Pool
 }
 
 func newLayout() *layout {
-	l := &layout{}
+	l := &layout{ilits: map[int64]int{}, flits: map[uint64]int{}}
 	l.pool.New = func() any {
-		return &frame{
+		fr := &frame{
 			i: make([]int64, l.nI),
 			f: make([]float64, l.nF),
 			b: make([]bool, l.nB),
 			a: make([]*interp.Array, l.nA),
 		}
+		for v, s := range l.ilits {
+			fr.i[s] = v
+		}
+		for bits, s := range l.flits {
+			fr.f[s] = math.Float64frombits(bits)
+		}
+		return fr
 	}
 	return l
 }
@@ -128,14 +151,18 @@ func throw(format string, args ...any) {
 	panic(runtimeError{fmt.Errorf(format, args...)})
 }
 
-// catch recovers a runtimeError into *err; other panics propagate.
+// catch recovers a runtimeError or leafFault into *err; other panics
+// propagate.
 func catch(err *error) {
 	if r := recover(); r != nil {
-		re, ok := r.(runtimeError)
-		if !ok {
+		switch re := r.(type) {
+		case runtimeError:
+			*err = re.err
+		case leafFault:
+			*err = re.error()
+		default:
 			panic(r)
 		}
-		*err = re.err
 	}
 }
 
@@ -254,7 +281,6 @@ func (k *Kernel) Name() string { return k.fn.Name }
 // *interp.Array passed by reference, dimensions checked against the
 // signature's dimension expressions.
 func (k *Kernel) Run(args ...any) (err error) {
-	defer catch(&err)
 	cf := k.entry
 	if len(args) != len(cf.fn.Params) {
 		return fmt.Errorf("closure: %s takes %d arguments, got %d", cf.fn.Name, len(cf.fn.Params), len(args))
@@ -263,6 +289,7 @@ func (k *Kernel) Run(args ...any) (err error) {
 	defer rt.close()
 	fr := cf.lay.get(rt)
 	defer cf.lay.put(fr)
+	defer catch(&err) // before put: a leafFault reads the frame
 	for idx, prm := range cf.fn.Params {
 		v, err := interp.CoerceArg(prm, args[idx])
 		if err != nil {
