@@ -11,12 +11,17 @@ COVER_FLOOR ?= 68.0
 # check runs everything CI runs (minus the version matrix).
 check: lint build test race cover
 
-# lint fails on unformatted files, vet findings and (when the tool is
-# installed, as in CI) staticcheck findings.
+# lint fails on unformatted files, vet findings, (when the tool is
+# installed, as in CI) staticcheck findings, and on any non-test package
+# other than internal/mcl/interp depending on the interpreter: it is the
+# closure engine's test oracle, and no production code may run it.
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	@if $(GO) list -deps $$($(GO) list ./... | grep -v '^cashmere/internal/mcl/interp$$') | \
+		grep -qx 'cashmere/internal/mcl/interp'; then \
+		echo "a non-test package depends on cashmere/internal/mcl/interp"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 		else echo "staticcheck not installed; skipped"; fi
 

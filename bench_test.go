@@ -187,8 +187,8 @@ type kernelBench struct {
 	args   func(r *rand.Rand) []any
 }
 
-func benchRandFloats(r *rand.Rand, dims ...int) *interp.Array {
-	a := interp.NewFloatArray(dims...)
+func benchRandFloats(r *rand.Rand, dims ...int) *mcpl.Array {
+	a := mcpl.NewFloatArray(dims...)
 	for i := range a.F {
 		a.F[i] = r.Float64()
 	}
@@ -201,7 +201,7 @@ func kernelBenches() []kernelBench {
 			name: "matmul", src: apps.MatmulPerfect, kernel: "matmul",
 			args: func(r *rand.Rand) []any {
 				const n = 64
-				return []any{n, n, n, interp.NewFloatArray(n, n),
+				return []any{n, n, n, mcpl.NewFloatArray(n, n),
 					benchRandFloats(r, n, n), benchRandFloats(r, n, n)}
 			},
 		},
@@ -210,7 +210,7 @@ func kernelBenches() []kernelBench {
 			args: func(r *rand.Rand) []any {
 				n, k, d := 512, 16, 4
 				return []any{n, k, d, benchRandFloats(r, n, d),
-					benchRandFloats(r, k, d), interp.NewIntArray(n)}
+					benchRandFloats(r, k, d), mcpl.NewIntArray(n)}
 			},
 		},
 		{
@@ -218,7 +218,7 @@ func kernelBenches() []kernelBench {
 			args: func(r *rand.Rand) []any {
 				const n = 256
 				return []any{n, 0, n, benchRandFloats(r, n, 4),
-					interp.NewFloatArray(n, 3)}
+					mcpl.NewFloatArray(n, 3)}
 			},
 		},
 		{
@@ -227,7 +227,7 @@ func kernelBenches() []kernelBench {
 				w, h, rows, samples := 16, 16, 4, 2
 				sc := apps.CornellScene()
 				return []any{w, h, 0, rows, samples, sc.Dims[0], 1,
-					sc, interp.NewFloatArray(rows, w, 3)}
+					sc, mcpl.NewFloatArray(rows, w, 3)}
 			},
 		},
 	}
@@ -243,7 +243,8 @@ func BenchmarkKernelExec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := mcpl.Check(prog); err != nil {
+		info, err := mcpl.Check(prog)
+		if err != nil {
 			b.Fatal(err)
 		}
 		args := kb.args(rand.New(rand.NewSource(11)))
@@ -255,7 +256,7 @@ func BenchmarkKernelExec(b *testing.B) {
 				}
 			}
 		})
-		k, err := closure.Compile(prog, kb.kernel)
+		k, err := closure.Compile(info, kb.kernel)
 		if err != nil {
 			b.Fatal(err)
 		}

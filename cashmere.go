@@ -24,7 +24,8 @@
 // cluster is simulated: a process-oriented discrete-event kernel models the
 // nodes, the QDR InfiniBand interconnect, the PCIe links and the seven
 // DAS-4 device types, while MCPL kernels additionally execute for real
-// through an interpreter at verification scale. See DESIGN.md.
+// through the closure engine at verification scale (a tree-walking
+// interpreter is its test oracle). See DESIGN.md.
 package cashmere
 
 import (
@@ -36,7 +37,6 @@ import (
 	"cashmere/internal/mcl/codegen"
 	"cashmere/internal/mcl/feedback"
 	"cashmere/internal/mcl/hdl"
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/mcl/tune"
 	"cashmere/internal/satin"
@@ -77,7 +77,7 @@ type (
 	// Metrics is the flat name→value set returned by Cluster.CollectMetrics.
 	Metrics = trace.Metrics
 	// Array is an MCPL array value used at verification scale.
-	Array = interp.Array
+	Array = mcpl.Array
 	// FeedbackMessage is one piece of MCL compiler feedback.
 	FeedbackMessage = feedback.Message
 )
@@ -336,10 +336,10 @@ func KernelGFLOPS(ks *KernelSet, dev string, params map[string]int64, flops floa
 }
 
 // NewFloatArray allocates a float array for verification-scale kernel runs.
-func NewFloatArray(dims ...int) *Array { return interp.NewFloatArray(dims...) }
+func NewFloatArray(dims ...int) *Array { return mcpl.NewFloatArray(dims...) }
 
 // NewIntArray allocates an int array for verification-scale kernel runs.
-func NewIntArray(dims ...int) *Array { return interp.NewIntArray(dims...) }
+func NewIntArray(dims ...int) *Array { return mcpl.NewIntArray(dims...) }
 
 // HardwareLevels returns the names of the built-in hardware-description
 // hierarchy (Fig. 2 of the paper), in sorted order.

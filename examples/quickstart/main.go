@@ -90,7 +90,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 5. Check the result (the kernel really ran, via the interpreter).
+	// 5. Check the result (the kernel really ran, via the closure engine).
 	for i, arr := range data {
 		for j, v := range arr.F {
 			want := float64(i*chunk+j)*2 + 1

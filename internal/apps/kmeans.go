@@ -7,7 +7,7 @@ import (
 
 	"cashmere/internal/core"
 	"cashmere/internal/mcl/codegen"
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
 )
@@ -151,8 +151,8 @@ type KMeansData struct {
 	Prob KMeansProblem
 	// Points in [n,d] layout and its transpose [d,n] for the optimized
 	// kernel; Centroids [k,d]; Assign is filled by the run.
-	Points, PointsT, Centroids *interp.Array
-	Assign                     *interp.Array
+	Points, PointsT, Centroids *mcpl.Array
+	Assign                     *mcpl.Array
 }
 
 var kmeansVerify = map[*core.Cluster]*KMeansData{}
@@ -162,10 +162,10 @@ func AttachKMeansData(cl *core.Cluster, prob KMeansProblem, seed int64) *KMeansD
 	rng := rand.New(rand.NewSource(seed))
 	d := &KMeansData{
 		Prob:      prob,
-		Points:    interp.NewFloatArray(prob.N, prob.D),
-		PointsT:   interp.NewFloatArray(prob.D, prob.N),
-		Centroids: interp.NewFloatArray(prob.K, prob.D),
-		Assign:    interp.NewIntArray(prob.N),
+		Points:    mcpl.NewFloatArray(prob.N, prob.D),
+		PointsT:   mcpl.NewFloatArray(prob.D, prob.N),
+		Centroids: mcpl.NewFloatArray(prob.K, prob.D),
+		Assign:    mcpl.NewIntArray(prob.N),
 	}
 	for i := 0; i < prob.N; i++ {
 		for f := 0; f < prob.D; f++ {
@@ -270,20 +270,20 @@ func kmeansLeaf(cl *core.Cluster, ctx *satin.Context, prob KMeansProblem, v Vari
 func kmeansVerifyArgs(cl *core.Cluster, d *KMeansData, lo, hi int, v Variant) []any {
 	prob := d.Prob
 	npts := hi - lo
-	assign := &kmAssignView{cl: cl, lo: lo, arr: interp.NewIntArray(npts)}
+	assign := &kmAssignView{cl: cl, lo: lo, arr: mcpl.NewIntArray(npts)}
 	kmPending = append(kmPending, assign)
 	// Which layout the compiled kernel expects depends on the selected
 	// version; the optimized set compiles the SoA kernel for GPU leaves and
 	// the AoS kernel elsewhere. We pass the layout matching the variant's
 	// chosen source; both kernels take (n,k,d,points,centroids,assign).
-	var pts *interp.Array
+	var pts *mcpl.Array
 	if v == CashmereOptimized {
-		pts = interp.NewFloatArray(prob.D, npts)
+		pts = mcpl.NewFloatArray(prob.D, npts)
 		for f := 0; f < prob.D; f++ {
 			copy(pts.F[f*npts:(f+1)*npts], d.PointsT.F[f*prob.N+lo:f*prob.N+hi])
 		}
 	} else {
-		pts = interp.NewFloatArray(npts, prob.D)
+		pts = mcpl.NewFloatArray(npts, prob.D)
 		copy(pts.F, d.Points.F[lo*prob.D:hi*prob.D])
 	}
 	return []any{int64(npts), int64(prob.K), int64(prob.D), pts, d.Centroids, assign.arr}
@@ -292,7 +292,7 @@ func kmeansVerifyArgs(cl *core.Cluster, d *KMeansData, lo, hi int, v Variant) []
 type kmAssignView struct {
 	cl  *core.Cluster
 	lo  int
-	arr *interp.Array
+	arr *mcpl.Array
 }
 
 var kmPending []*kmAssignView

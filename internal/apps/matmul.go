@@ -7,7 +7,7 @@ import (
 
 	"cashmere/internal/core"
 	"cashmere/internal/mcl/codegen"
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 )
 
@@ -181,13 +181,13 @@ func matmulLeaf(cl *core.Cluster, ctx *satin.Context, prob MatmulProblem, v Vari
 }
 
 // Verification support: in Verify mode the cluster carries real matrices
-// and every leaf extracts its panels, runs the kernel through the
-// interpreter, and writes its block back.
+// and every leaf extracts its panels, runs the kernel through the closure
+// engine, and writes its block back.
 
 // MatmulData holds the real matrices of a verification run.
 type MatmulData struct {
 	N       int
-	A, B, C *interp.Array
+	A, B, C *mcpl.Array
 }
 
 var verifyData = map[*core.Cluster]*MatmulData{}
@@ -198,9 +198,9 @@ func AttachMatmulData(cl *core.Cluster, n int, seed int64) *MatmulData {
 	rng := rand.New(rand.NewSource(seed))
 	d := &MatmulData{
 		N: n,
-		A: interp.NewFloatArray(n, n),
-		B: interp.NewFloatArray(n, n),
-		C: interp.NewFloatArray(n, n),
+		A: mcpl.NewFloatArray(n, n),
+		B: mcpl.NewFloatArray(n, n),
+		C: mcpl.NewFloatArray(n, n),
 	}
 	for i := range d.A.F {
 		d.A.F[i] = rng.Float64()
@@ -216,8 +216,8 @@ func matmulVerifyArgs(cl *core.Cluster, b mmBlock, prob MatmulProblem) []any {
 		return nil
 	}
 	rows, cols, n := b.rows(), b.cols(), d.N
-	a := interp.NewFloatArray(rows, n)
-	bb := interp.NewFloatArray(n, cols)
+	a := mcpl.NewFloatArray(rows, n)
+	bb := mcpl.NewFloatArray(n, cols)
 	c := &matmulViewC{cl: cl, b: b}
 	for i := 0; i < rows; i++ {
 		copy(a.F[i*n:(i+1)*n], d.A.F[(b.r0+i)*n:(b.r0+i+1)*n])
@@ -225,12 +225,12 @@ func matmulVerifyArgs(cl *core.Cluster, b mmBlock, prob MatmulProblem) []any {
 	for k := 0; k < n; k++ {
 		copy(bb.F[k*cols:(k+1)*cols], d.B.F[k*n+b.c0:k*n+b.c1])
 	}
-	cArr := interp.NewFloatArray(rows, cols)
+	cArr := mcpl.NewFloatArray(rows, cols)
 	for i := 0; i < rows; i++ {
 		copy(cArr.F[i*cols:(i+1)*cols], d.C.F[(b.r0+i)*n+b.c0:(b.r0+i)*n+b.c1])
 	}
 	c.arr = cArr
-	// Register a write-back: the interpreter mutates cArr; copy back after
+	// Register a write-back: the kernel mutates cArr; copy back after
 	// the launch. We do it eagerly by wrapping the array; the launch path
 	// calls compiled.Run synchronously, so copying back right after Run
 	// would be ideal — instead we rely on the caller reading C once the run
@@ -242,7 +242,7 @@ func matmulVerifyArgs(cl *core.Cluster, b mmBlock, prob MatmulProblem) []any {
 type matmulViewC struct {
 	cl  *core.Cluster
 	b   mmBlock
-	arr *interp.Array
+	arr *mcpl.Array
 }
 
 var pendingC []*matmulViewC
@@ -269,9 +269,9 @@ func FlushMatmul(cl *core.Cluster) {
 }
 
 // MatmulReference computes C = A x B in plain Go for verification.
-func MatmulReference(d *MatmulData) *interp.Array {
+func MatmulReference(d *MatmulData) *mcpl.Array {
 	n := d.N
-	out := interp.NewFloatArray(n, n)
+	out := mcpl.NewFloatArray(n, n)
 	for i := 0; i < n; i++ {
 		for k := 0; k < n; k++ {
 			aik := d.A.F[i*n+k]

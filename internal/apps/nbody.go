@@ -8,7 +8,7 @@ import (
 
 	"cashmere/internal/core"
 	"cashmere/internal/mcl/codegen"
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 )
 
@@ -193,8 +193,8 @@ func nbodyLeaf(cl *core.Cluster, ctx *satin.Context, prob NBodyProblem, v Varian
 // NBodyData carries real data for a verification run.
 type NBodyData struct {
 	Prob NBodyProblem
-	Pos  *interp.Array // [n,4]
-	Acc  *interp.Array // [n,3], filled by the run
+	Pos  *mcpl.Array // [n,4]
+	Acc  *mcpl.Array // [n,3], filled by the run
 }
 
 var nbodyVerifyData = map[*core.Cluster]*NBodyData{}
@@ -204,8 +204,8 @@ func AttachNBodyData(cl *core.Cluster, prob NBodyProblem, seed int64) *NBodyData
 	rng := rand.New(rand.NewSource(seed))
 	d := &NBodyData{
 		Prob: prob,
-		Pos:  interp.NewFloatArray(prob.N, 4),
-		Acc:  interp.NewFloatArray(prob.N, 3),
+		Pos:  mcpl.NewFloatArray(prob.N, 4),
+		Acc:  mcpl.NewFloatArray(prob.N, 3),
 	}
 	for i := 0; i < prob.N; i++ {
 		d.Pos.F[i*4+0] = rng.Float64()*2 - 1
@@ -220,13 +220,13 @@ func AttachNBodyData(cl *core.Cluster, prob NBodyProblem, seed int64) *NBodyData
 type nbAccView struct {
 	cl  *core.Cluster
 	lo  int
-	arr *interp.Array
+	arr *mcpl.Array
 }
 
 var nbPending []*nbAccView
 
 func nbodyVerifyArgs(cl *core.Cluster, d *NBodyData, lo, nloc int) []any {
-	acc := interp.NewFloatArray(nloc, 3)
+	acc := mcpl.NewFloatArray(nloc, 3)
 	nbPending = append(nbPending, &nbAccView{cl: cl, lo: lo, arr: acc})
 	return []any{int64(nloc), int64(lo), int64(d.Prob.N), d.Pos, acc}
 }
@@ -251,9 +251,9 @@ func FlushNBody(cl *core.Cluster) {
 
 // NBodyReferenceAcc computes the reference accelerations in Go, mirroring
 // the kernel arithmetic exactly.
-func NBodyReferenceAcc(d *NBodyData) *interp.Array {
+func NBodyReferenceAcc(d *NBodyData) *mcpl.Array {
 	n := d.Prob.N
-	out := interp.NewFloatArray(n, 3)
+	out := mcpl.NewFloatArray(n, 3)
 	for i := 0; i < n; i++ {
 		px, py, pz := d.Pos.F[i*4], d.Pos.F[i*4+1], d.Pos.F[i*4+2]
 		var ax, ay, az float64

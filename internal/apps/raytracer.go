@@ -6,7 +6,7 @@ import (
 
 	"cashmere/internal/core"
 	"cashmere/internal/mcl/codegen"
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 )
 
@@ -184,7 +184,7 @@ func (p RaytracerProblem) leaves() int { return (p.H + p.LeafRows - 1) / p.LeafR
 
 // CornellScene builds the sphere-based Cornell box of smallpt (walls as
 // huge spheres, one mirror ball, one diffuse ball, an area light).
-func CornellScene() *interp.Array {
+func CornellScene() *mcpl.Array {
 	type s struct {
 		c    [3]float64
 		r    float64
@@ -202,7 +202,7 @@ func CornellScene() *interp.Array {
 		{[3]float64{73, 16.5, 78}, 16.5, [3]float64{}, [3]float64{.999, .999, .999}, 0},      // diffuse ball
 		{[3]float64{50, 681.6 - .27, 81.6}, 600, [3]float64{12, 12, 12}, [3]float64{}, 0},    // light
 	}
-	arr := interp.NewFloatArray(len(scene), 11)
+	arr := mcpl.NewFloatArray(len(scene), 11)
 	for i, sp := range scene {
 		row := arr.F[i*11:]
 		row[0], row[1], row[2], row[3] = sp.c[0], sp.c[1], sp.c[2], sp.r
@@ -238,7 +238,7 @@ func RunRaytracer(cl *core.Cluster, prob RaytracerProblem, v Variant) (Result, e
 	return finish(prob.Flops(), end), nil
 }
 
-func raytracerLeaf(cl *core.Cluster, ctx *satin.Context, prob RaytracerProblem, v Variant, scene *interp.Array, leaf int) {
+func raytracerLeaf(cl *core.Cluster, ctx *satin.Context, prob RaytracerProblem, v Variant, scene *mcpl.Array, leaf int) {
 	ns := scene.Dims[0]
 	y0 := leaf * prob.LeafRows
 	rows := min(prob.LeafRows, prob.H-y0)
@@ -263,7 +263,7 @@ func raytracerLeaf(cl *core.Cluster, ctx *satin.Context, prob RaytracerProblem, 
 		Label:    "raytrace",
 	}
 	if d := rtVerifyData[cl]; d != nil && cl.Verify() {
-		img := interp.NewFloatArray(rows, prob.W, 3)
+		img := mcpl.NewFloatArray(rows, prob.W, 3)
 		rtPending = append(rtPending, &rtImgView{cl: cl, y0: y0, arr: img})
 		spec.Args = []any{
 			int64(prob.W), int64(prob.H), int64(y0), int64(rows),
@@ -278,14 +278,14 @@ func raytracerLeaf(cl *core.Cluster, ctx *satin.Context, prob RaytracerProblem, 
 // RaytracerData marks a cluster as carrying a verification image.
 type RaytracerData struct {
 	Prob RaytracerProblem
-	Img  *interp.Array // [h,w,3]
+	Img  *mcpl.Array // [h,w,3]
 }
 
 var rtVerifyData = map[*core.Cluster]*RaytracerData{}
 
 // AttachRaytracerData registers a full-image buffer for verification runs.
 func AttachRaytracerData(cl *core.Cluster, prob RaytracerProblem) *RaytracerData {
-	d := &RaytracerData{Prob: prob, Img: interp.NewFloatArray(prob.H, prob.W, 3)}
+	d := &RaytracerData{Prob: prob, Img: mcpl.NewFloatArray(prob.H, prob.W, 3)}
 	rtVerifyData[cl] = d
 	return d
 }
@@ -293,7 +293,7 @@ func AttachRaytracerData(cl *core.Cluster, prob RaytracerProblem) *RaytracerData
 type rtImgView struct {
 	cl  *core.Cluster
 	y0  int
-	arr *interp.Array
+	arr *mcpl.Array
 }
 
 var rtPending []*rtImgView
@@ -319,10 +319,10 @@ func FlushRaytracer(cl *core.Cluster) {
 // RaytraceReference renders the same block in pure Go, mirroring the MCPL
 // kernel's arithmetic and RNG exactly, so verification can demand exact
 // equality.
-func RaytraceReference(w, h, y0, rows, samples int, seed0 int64, scene *interp.Array) *interp.Array {
+func RaytraceReference(w, h, y0, rows, samples int, seed0 int64, scene *mcpl.Array) *mcpl.Array {
 	ns := scene.Dims[0]
 	sp := func(i, j int) float64 { return scene.F[i*11+j] }
-	img := interp.NewFloatArray(rows, w, 3)
+	img := mcpl.NewFloatArray(rows, w, 3)
 	for y := 0; y < rows; y++ {
 		for x := 0; x < w; x++ {
 			state := (int64((y0+y)*w+x)*9781 + seed0) & 1073741823

@@ -80,7 +80,7 @@ func AblationFig16Split() (phiJobs, k20Jobs int, err error) {
 }
 
 // VerifiedMatmul runs a verification-scale matmul (kernels executed for
-// real through the MCPL interpreter on a 2-node cluster) and checks the
+// real through the closure engine on a 2-node cluster) and checks the
 // result against the Go reference.
 func VerifiedMatmul() error {
 	cfg := core.DefaultConfig(2, "gtx480")

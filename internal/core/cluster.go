@@ -90,7 +90,7 @@ type Config struct {
 	// trace.NodeKernel pseudo-node. Off by default: it multiplies span volume
 	// and is only wanted for full -trace exports, not ASCII Gantt charts.
 	TraceSched bool
-	// Verify runs every kernel launch through the MCPL interpreter on real
+	// Verify runs every kernel launch through the closure engine on real
 	// data (the launch must supply Args). Used at verification scale; paper-
 	// scale runs leave it off and only charge modeled time.
 	Verify bool

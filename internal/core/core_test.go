@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"cashmere/internal/mcl/codegen"
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
 )
@@ -136,7 +136,7 @@ func TestVerifyModeExecutesKernel(t *testing.T) {
 	cfg.Verify = true
 	cl, _ := NewCluster(cfg)
 	cl.Register(mustKS(t, "scale", scaleKernel))
-	a := interp.NewFloatArray(8)
+	a := mcpl.NewFloatArray(8)
 	for i := range a.F {
 		a.F[i] = float64(i)
 	}

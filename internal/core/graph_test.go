@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 	"cashmere/internal/simnet"
 )
@@ -160,7 +160,7 @@ func TestGraphMatchesNaiveOutput(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		const n = 64
 		run := func(graph bool) []float64 {
-			arr := interp.NewFloatArray(n)
+			arr := mcpl.NewFloatArray(n)
 			for i := range arr.F {
 				arr.F[i] = float64(i)
 			}

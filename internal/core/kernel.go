@@ -46,7 +46,7 @@ type LaunchSpec struct {
 	// of this launch. Data already resident on the device (Device.Copy)
 	// must not be counted again.
 	InBytes, OutBytes int64
-	// Args are the real arguments (scalars and *interp.Array) for
+	// Args are the real arguments (scalars and *mcpl.Array) for
 	// verification-scale execution; ignored unless the cluster runs with
 	// Verify.
 	Args []any
@@ -116,7 +116,7 @@ func (l *Launch) OnDevice(d int) *Launch {
 // event. Large in-core launches are split into a double-buffered pipeline of
 // passes so transfers overlap compute within the launch; a due resident
 // transfer absorbs small parameter blocks into one enqueue. With Verify
-// enabled it additionally runs the kernel through the MCPL interpreter on
+// enabled it additionally runs the kernel through the closure engine on
 // the supplied Args, so results are real and checkable.
 //
 // Errors (unknown parameters, device out of memory) are returned to the

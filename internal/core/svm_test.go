@@ -3,7 +3,7 @@ package core
 import (
 	"testing"
 
-	"cashmere/internal/mcl/interp"
+	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/satin"
 	"cashmere/internal/svm"
 )
@@ -30,7 +30,7 @@ func TestParseTransport(t *testing.T) {
 func svmChainRun(t *testing.T, transport Transport, proto svm.Protocol, graph bool, parts int) ([]float64, int64) {
 	t.Helper()
 	const n = 64
-	arr := interp.NewFloatArray(n)
+	arr := mcpl.NewFloatArray(n)
 	for i := range arr.F {
 		arr.F[i] = float64(i)
 	}

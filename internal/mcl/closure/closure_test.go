@@ -1,7 +1,6 @@
 package closure_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -16,10 +15,11 @@ func compile(t *testing.T, src, kernel string) *closure.Kernel {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, err := mcpl.Check(prog); err != nil {
+	info, err := mcpl.Check(prog)
+	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	k, err := closure.Compile(prog, kernel)
+	k, err := closure.Compile(info, kernel)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -38,11 +38,11 @@ perfect void sum(int n, float[n] xs, float[1] out) {
   out[0] = acc;
 }
 `, "sum")
-	xs := interp.NewFloatArray(5)
+	xs := mcpl.NewFloatArray(5)
 	for i := range xs.F {
 		xs.F[i] = float64(i + 1)
 	}
-	out := interp.NewFloatArray(1)
+	out := mcpl.NewFloatArray(1)
 	if err := k.Run(5, xs, out); err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +70,9 @@ perfect void kern(int n, int[n] fibs, float[1] state, float[n] seen) {
   }
 }
 `, "kern")
-	fibs := interp.NewIntArray(8)
-	state := interp.NewFloatArray(1)
-	seen := interp.NewFloatArray(8)
+	fibs := mcpl.NewIntArray(8)
+	state := mcpl.NewFloatArray(1)
+	seen := mcpl.NewFloatArray(8)
 	if err := k.Run(8, fibs, state, seen); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { xs[i + 1] = 0.0; }
 }`,
 			kernel: "k", want: "out of range",
-			args: []any{3, interp.NewFloatArray(3)},
+			args: []any{3, mcpl.NewFloatArray(3)},
 		},
 		{
 			name: "division by zero",
@@ -113,7 +113,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { xs[i] = 1 / i; }
 }`,
 			kernel: "k", want: "division by zero",
-			args: []any{3, interp.NewIntArray(3)},
+			args: []any{3, mcpl.NewIntArray(3)},
 		},
 		{
 			name: "dimension mismatch",
@@ -121,7 +121,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { xs[i] = 0.0; }
 }`,
 			kernel: "k", want: "dimension",
-			args: []any{4, interp.NewFloatArray(3)},
+			args: []any{4, mcpl.NewFloatArray(3)},
 		},
 		{
 			name: "leaf index out of range in dimension 0",
@@ -129,7 +129,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { int j = i + 1; out[i] = xs[j, 0]; }
 }`,
 			kernel: "k", want: "2:60: xs: index 3 out of range [0,3) in dimension 0",
-			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+			args: []any{3, mcpl.NewFloatArray(3, 2), mcpl.NewFloatArray(3)},
 		},
 		{
 			name: "computed index out of range in dimension 0",
@@ -137,7 +137,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { int j = i + 0; out[i] = xs[j+1, 0]; }
 }`,
 			kernel: "k", want: "2:60: xs: index 3 out of range [0,3) in dimension 0",
-			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+			args: []any{3, mcpl.NewFloatArray(3, 2), mcpl.NewFloatArray(3)},
 		},
 		{
 			name: "leaf index out of range in dimension 1",
@@ -145,7 +145,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { int j = i + 1; out[i] = xs[0, j]; }
 }`,
 			kernel: "k", want: "2:60: xs: index 2 out of range [0,2) in dimension 1",
-			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+			args: []any{3, mcpl.NewFloatArray(3, 2), mcpl.NewFloatArray(3)},
 		},
 		{
 			name: "computed index out of range in dimension 1",
@@ -153,7 +153,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { int j = i + 0; out[i] = xs[0, j+1]; }
 }`,
 			kernel: "k", want: "2:60: xs: index 2 out of range [0,2) in dimension 1",
-			args: []any{3, interp.NewFloatArray(3, 2), interp.NewFloatArray(3)},
+			args: []any{3, mcpl.NewFloatArray(3, 2), mcpl.NewFloatArray(3)},
 		},
 		{
 			name: "negative leaf index",
@@ -161,7 +161,7 @@ func TestRuntimeErrors(t *testing.T) {
   foreach (int i in n threads) { int j = i - 1; xs[j, 1] = i; }
 }`,
 			kernel: "k", want: "2:51: xs: index -1 out of range [0,3) in dimension 0",
-			args: []any{3, interp.NewIntArray(3, 2)},
+			args: []any{3, mcpl.NewIntArray(3, 2)},
 		},
 	}
 	for _, tc := range cases {
@@ -191,46 +191,9 @@ perfect void k(int n, float[n] xs) {
   }
 }
 `, "k")
-	err := k.Run(4, interp.NewFloatArray(4))
+	err := k.Run(4, mcpl.NewFloatArray(4))
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want index error", err)
-	}
-}
-
-// TestUnsupportedFallbackConstruct checks that writing to a scalar declared
-// outside a barrier-synchronized foreach — whose parallel semantics would be
-// racy — is reported with ErrUnsupported so callers fall back to interp,
-// including when the write is the post statement of a counted for loop.
-func TestUnsupportedFallbackConstruct(t *testing.T) {
-	for _, src := range []string{`
-perfect void k(int n, float[n] xs) {
-  float acc = 0.0;
-  foreach (int i in n threads) {
-    barrier();
-    acc += xs[i];
-  }
-  xs[0] = acc;
-}
-`, `
-perfect void k(int n, float[n] xs) {
-  int j = 0;
-  foreach (int i in n threads) {
-    barrier();
-    for (; j < n; j++) { xs[i] += 1.0; }
-  }
-}
-`} {
-		prog, err := mcpl.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mcpl.Check(prog); err != nil {
-			t.Fatal(err)
-		}
-		_, cerr := closure.Compile(prog, "k")
-		if !errors.Is(cerr, closure.ErrUnsupported) {
-			t.Fatalf("Compile err = %v, want ErrUnsupported", cerr)
-		}
 	}
 }
 
@@ -249,7 +212,7 @@ perfect void k(int n, float[n] out) {
   }
 }
 `, "k")
-	out := interp.NewFloatArray(4)
+	out := mcpl.NewFloatArray(4)
 	if err := k.Run(4, out); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +229,11 @@ func TestKernelNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mcpl.Check(prog); err != nil {
+	info, err := mcpl.Check(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := closure.Compile(prog, "missing"); err == nil {
+	if _, err := closure.Compile(info, "missing"); err == nil {
 		t.Fatal("want error for missing kernel")
 	}
 }

@@ -1,39 +1,32 @@
 package closure
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
 
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 )
 
-// ErrUnsupported marks constructs the closure compiler does not cover.
-// Callers (codegen.Compiled.Run) detect it with errors.Is and fall back to
-// the tree-walking interpreter, so every checked program stays executable.
-var ErrUnsupported = errors.New("unsupported construct")
-
-func unsupported(format string, args ...any) error {
-	return fmt.Errorf("closure: "+format+": %w", append(args, ErrUnsupported)...)
-}
-
 // Compile lowers the named kernel of a checked program into a tree of
-// slot-indexed Go closures. The result is immutable and safe for concurrent
-// Run. Helper functions reachable from the kernel are compiled on demand
-// (recursion included).
-func Compile(prog *mcpl.Program, kernel string) (*Kernel, error) {
-	f := prog.Kernel(kernel)
+// slot-indexed Go closures, typing expressions from the checker's info. It
+// fails only when the kernel is missing: every program mcpl.Check accepts
+// compiles. The result is immutable and safe for concurrent Run. Helper
+// functions reachable from the kernel are compiled on demand (recursion
+// included).
+func Compile(info *mcpl.Info, kernel string) (*Kernel, error) {
+	f := info.Prog.Kernel(kernel)
 	if f == nil {
 		return nil, fmt.Errorf("closure: kernel %q not found", kernel)
 	}
-	c := &comp{prog: prog, funcs: map[string]*cfunc{}}
-	cf, err := c.compileFunc(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Kernel{prog: prog, fn: f, entry: cf}, nil
+	c := &comp{info: info, funcs: map[string]*cfunc{}}
+	return &Kernel{fn: f, entry: c.compileFunc(f)}, nil
+}
+
+// unchecked panics on a construct the checker rejects: reaching it means
+// Compile was given an unchecked program or the two disagree, a bug.
+func unchecked(pos mcpl.Pos, what any) {
+	panic(fmt.Sprintf("closure: %v: unchecked construct %v", pos, what))
 }
 
 // slotRef names one variable's home: a kind-specific bank and an index.
@@ -43,47 +36,23 @@ type slotRef struct {
 	idx   int
 }
 
-type symInfo struct {
-	ref slotRef
-	typ mcpl.Type
-}
-
-// cscope is the compile-time scope chain. boundary marks the body scope of
-// a barrier-synchronized (parallel) foreach: assignments that resolve
-// through a boundary target outer scalars, which parallel iterations cannot
-// share (each runs in a private frame copy), so such programs are rejected
-// with ErrUnsupported.
+// cscope is the compile-time scope chain, from names to slots.
 type cscope struct {
-	parent   *cscope
-	boundary bool
-	vars     map[string]symInfo
+	parent *cscope
+	vars   map[string]slotRef
 }
 
 func newScope(parent *cscope) *cscope {
-	return &cscope{parent: parent, vars: map[string]symInfo{}}
+	return &cscope{parent: parent, vars: map[string]slotRef{}}
 }
 
-func (s *cscope) lookup(name string) (symInfo, bool) {
+func (s *cscope) lookup(name string) slotRef {
 	for sc := s; sc != nil; sc = sc.parent {
 		if v, ok := sc.vars[name]; ok {
-			return v, true
+			return v
 		}
 	}
-	return symInfo{}, false
-}
-
-// lookupAssign resolves an assignment target and reports whether the
-// resolution crossed a parallel-foreach boundary.
-func (s *cscope) lookupAssign(name string) (sym symInfo, crossed, ok bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if v, found := sc.vars[name]; found {
-			return v, crossed, true
-		}
-		if sc.boundary {
-			crossed = true
-		}
-	}
-	return symInfo{}, crossed, false
+	panic("closure: undeclared variable " + name)
 }
 
 // cfunc is one compiled function. params/lay/dimChecks are populated before
@@ -109,56 +78,38 @@ type dimCheck struct {
 }
 
 type comp struct {
-	prog  *mcpl.Program
+	info  *mcpl.Info
 	funcs map[string]*cfunc
 }
 
-func (c *comp) fnFor(name string) (*cfunc, error) {
+func (c *comp) fnFor(name string) *cfunc {
 	if cf, ok := c.funcs[name]; ok {
-		return cf, nil
+		return cf
 	}
-	f := c.prog.Func(name)
-	if f == nil {
-		return nil, fmt.Errorf("closure: undefined function %s", name)
-	}
-	return c.compileFunc(f)
+	return c.compileFunc(c.info.Prog.Func(name))
 }
 
-func (c *comp) compileFunc(f *mcpl.Func) (*cfunc, error) {
+func (c *comp) compileFunc(f *mcpl.Func) *cfunc {
 	cf := &cfunc{fn: f, lay: newLayout()}
 	c.funcs[f.Name] = cf
 	fc := &fcomp{c: c, cf: cf}
 	sc := newScope(nil)
 	for _, prm := range f.Params {
-		ref, err := fc.alloc(prm.Type, prm.Pos)
-		if err != nil {
-			return nil, err
-		}
+		ref := fc.alloc(prm.Type)
 		cf.params = append(cf.params, ref)
-		sc.vars[prm.Name] = symInfo{ref: ref, typ: prm.Type}
+		sc.vars[prm.Name] = ref
 	}
 	for i, prm := range f.Params {
-		if !prm.Type.IsArray() {
-			continue
-		}
 		for d, de := range prm.Type.Dims {
-			wf, err := fc.intExpr(de, sc)
-			if err != nil {
-				return nil, err
-			}
 			cf.dimChecks = append(cf.dimChecks, dimCheck{
 				name: prm.Name, slot: cf.params[i].idx, dim: d,
-				want: wf, expr: mcpl.ExprString(de),
+				want: fc.intExpr(de, sc), expr: mcpl.ExprString(de),
 			})
 		}
 	}
 	// The body shares the parameter scope, as in the checker and interpreter.
-	body, err := fc.blockShared(f.Body, sc)
-	if err != nil {
-		return nil, err
-	}
-	cf.body = body
-	return cf, nil
+	cf.body = fc.blockShared(f.Body, sc)
+	return cf
 }
 
 // fcomp compiles one function: it owns the slot allocator of cf's layout.
@@ -167,112 +118,39 @@ type fcomp struct {
 	cf *cfunc
 }
 
-func (fc *fcomp) alloc(t mcpl.Type, pos mcpl.Pos) (slotRef, error) {
+func (fc *fcomp) alloc(t mcpl.Type) slotRef {
 	lay := fc.cf.lay
-	if t.IsArray() {
-		if t.Kind != mcpl.KindInt && t.Kind != mcpl.KindFloat {
-			return slotRef{}, unsupported("%v: %s array", pos, t)
-		}
-		r := slotRef{kind: t.Kind, array: true, idx: lay.nA}
+	r := slotRef{kind: t.Kind, array: t.IsArray()}
+	switch {
+	case r.array:
+		r.idx = lay.nA
 		lay.nA++
-		return r, nil
-	}
-	r := slotRef{kind: t.Kind}
-	switch t.Kind {
-	case mcpl.KindInt:
+	case t.Kind == mcpl.KindInt:
 		r.idx = lay.nI
 		lay.nI++
-	case mcpl.KindFloat:
+	case t.Kind == mcpl.KindFloat:
 		r.idx = lay.nF
 		lay.nF++
-	case mcpl.KindBool:
+	default: // the checker admits no void variables
 		r.idx = lay.nB
 		lay.nB++
-	default:
-		return slotRef{}, fmt.Errorf("closure: %v: cannot allocate %s variable", pos, t)
 	}
-	return r, nil
+	return r
 }
 
-// ---------- type inference (over the already-checked program) ----------
-
-func (fc *fcomp) typeOf(e mcpl.Expr, sc *cscope) (mcpl.Type, error) {
-	switch x := e.(type) {
+// typ returns e's checked type. The literals the compiler builds itself
+// (the 1 of x++, a declaration's zero initializer) are not in the checker's
+// info, so literals are typed by node kind.
+func (fc *fcomp) typ(e mcpl.Expr) mcpl.Type {
+	switch e.(type) {
 	case *mcpl.IntLit:
-		return mcpl.Type{Kind: mcpl.KindInt}, nil
+		return mcpl.Type{Kind: mcpl.KindInt}
 	case *mcpl.FloatLit:
-		return mcpl.Type{Kind: mcpl.KindFloat}, nil
-	case *mcpl.BoolLit:
-		return mcpl.Type{Kind: mcpl.KindBool}, nil
-	case *mcpl.Ident:
-		sym, ok := sc.lookup(x.Name)
-		if !ok {
-			return mcpl.Type{}, unsupported("%v: undefined variable %s", x.Pos, x.Name)
-		}
-		return sym.typ, nil
-	case *mcpl.Unary:
-		if x.Op == "!" {
-			return mcpl.Type{Kind: mcpl.KindBool}, nil
-		}
-		if x.Op == "~" {
-			return mcpl.Type{Kind: mcpl.KindInt}, nil
-		}
-		return fc.typeOf(x.X, sc)
-	case *mcpl.Cast:
-		return x.To, nil
-	case *mcpl.Cond:
-		tt, err := fc.typeOf(x.T, sc)
-		if err != nil {
-			return mcpl.Type{}, err
-		}
-		ft, err := fc.typeOf(x.F, sc)
-		if err != nil {
-			return mcpl.Type{}, err
-		}
-		return joinNumeric(tt, ft), nil
-	case *mcpl.Binary:
-		switch x.Op {
-		case "+", "-", "*", "/":
-			lt, err := fc.typeOf(x.L, sc)
-			if err != nil {
-				return mcpl.Type{}, err
-			}
-			rt, err := fc.typeOf(x.R, sc)
-			if err != nil {
-				return mcpl.Type{}, err
-			}
-			return joinNumeric(lt, rt), nil
-		case "%", "<<", ">>", "&", "|", "^":
-			return mcpl.Type{Kind: mcpl.KindInt}, nil
-		default: // comparisons and logicals
-			return mcpl.Type{Kind: mcpl.KindBool}, nil
-		}
-	case *mcpl.Index:
-		id := x.Array.(*mcpl.Ident)
-		sym, ok := sc.lookup(id.Name)
-		if !ok {
-			return mcpl.Type{}, unsupported("%v: undefined array %s", x.Pos, id.Name)
-		}
-		return sym.typ.Elem(), nil
-	case *mcpl.Call:
-		if b, ok := mcpl.Builtins[x.Name]; ok {
-			return mcpl.Type{Kind: b.Return}, nil
-		}
-		f := fc.c.prog.Func(x.Name)
-		if f == nil {
-			return mcpl.Type{}, unsupported("%v: undefined function %s", x.Pos, x.Name)
-		}
-		return f.Return, nil
-	default:
-		return mcpl.Type{}, unsupported("%v: unknown expression %T", e.Position(), e)
-	}
-}
-
-func joinNumeric(a, b mcpl.Type) mcpl.Type {
-	if a.Kind == mcpl.KindFloat || b.Kind == mcpl.KindFloat {
 		return mcpl.Type{Kind: mcpl.KindFloat}
+	case *mcpl.BoolLit:
+		return mcpl.Type{Kind: mcpl.KindBool}
 	}
-	return mcpl.Type{Kind: mcpl.KindInt}
+	return fc.c.info.TypeOf(e)
 }
 
 // ---------- statements ----------
@@ -308,23 +186,19 @@ func seq(fns []stmtFn) stmtFn {
 // blockShared compiles the statements of a block into the given scope
 // without opening a new one (function bodies and foreach bodies share their
 // parameter/loop-variable scope, matching the interpreter).
-func (fc *fcomp) blockShared(b *mcpl.Block, sc *cscope) (stmtFn, error) {
+func (fc *fcomp) blockShared(b *mcpl.Block, sc *cscope) stmtFn {
 	fns := make([]stmtFn, 0, len(b.Stmts))
 	for _, s := range b.Stmts {
-		fn, err := fc.stmt(s, sc)
-		if err != nil {
-			return nil, err
-		}
-		fns = append(fns, fn)
+		fns = append(fns, fc.stmt(s, sc))
 	}
-	return seq(fns), nil
+	return seq(fns)
 }
 
-func (fc *fcomp) block(b *mcpl.Block, parent *cscope) (stmtFn, error) {
+func (fc *fcomp) block(b *mcpl.Block, parent *cscope) stmtFn {
 	return fc.blockShared(b, newScope(parent))
 }
 
-func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) (stmtFn, error) {
+func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) stmtFn {
 	switch st := s.(type) {
 	case *mcpl.Block:
 		return fc.block(st, sc)
@@ -341,101 +215,28 @@ func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) (stmtFn, error) {
 			Lhs: st.Lhs, Op: op, Rhs: &mcpl.IntLit{Value: 1, Pos: st.Pos}, Pos: st.Pos,
 		}, sc)
 	case *mcpl.If:
-		cond, err := fc.boolExpr(st.Cond, sc)
-		if err != nil {
-			return nil, err
-		}
-		then, err := fc.block(st.Then, sc)
-		if err != nil {
-			return nil, err
-		}
+		cond := fc.boolExpr(st.Cond, sc)
+		then := fc.block(st.Then, sc)
 		if st.Else == nil {
 			return func(f *frame) ctrl {
 				if cond(f) {
 					return then(f)
 				}
 				return ctrlNext
-			}, nil
+			}
 		}
-		els, err := fc.stmt(st.Else, sc)
-		if err != nil {
-			return nil, err
-		}
+		els := fc.stmt(st.Else, sc)
 		return func(f *frame) ctrl {
 			if cond(f) {
 				return then(f)
 			}
 			return els(f)
-		}, nil
+		}
 	case *mcpl.For:
-		inner := newScope(sc)
-		init := nopStmt
-		if st.Init != nil {
-			fn, err := fc.stmt(st.Init, inner)
-			if err != nil {
-				return nil, err
-			}
-			init = fn
-		}
-		cond := func(*frame) bool { return true }
-		if st.Cond != nil {
-			fn, err := fc.boolExpr(st.Cond, inner)
-			if err != nil {
-				return nil, err
-			}
-			cond = fn
-		}
-		post := nopStmt
-		if st.Post != nil {
-			fn, err := fc.stmt(st.Post, inner)
-			if err != nil {
-				return nil, err
-			}
-			post = fn
-		}
-		body, err := fc.block(st.Body, inner)
-		if err != nil {
-			return nil, err
-		}
-		if v, b, le, step, ok := fc.countedFor(st, inner); ok {
-			// A native loop over slots. The body may assign the variable or
-			// the bound, so both are re-read on every iteration.
-			if le {
-				return func(f *frame) ctrl {
-					for init(f); f.i[v] <= f.i[b]; f.i[v] += step {
-						if body(f) == ctrlReturn {
-							return ctrlReturn
-						}
-					}
-					return ctrlNext
-				}, nil
-			}
-			return func(f *frame) ctrl {
-				for init(f); f.i[v] < f.i[b]; f.i[v] += step {
-					if body(f) == ctrlReturn {
-						return ctrlReturn
-					}
-				}
-				return ctrlNext
-			}, nil
-		}
-		return func(f *frame) ctrl {
-			for init(f); cond(f); post(f) {
-				if body(f) == ctrlReturn {
-					return ctrlReturn
-				}
-			}
-			return ctrlNext
-		}, nil
+		return fc.forLoop(st, newScope(sc))
 	case *mcpl.While:
-		cond, err := fc.boolExpr(st.Cond, sc)
-		if err != nil {
-			return nil, err
-		}
-		body, err := fc.block(st.Body, sc)
-		if err != nil {
-			return nil, err
-		}
+		cond := fc.boolExpr(st.Cond, sc)
+		body := fc.block(st.Body, sc)
 		return func(f *frame) ctrl {
 			for cond(f) {
 				if body(f) == ctrlReturn {
@@ -443,43 +244,31 @@ func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) (stmtFn, error) {
 				}
 			}
 			return ctrlNext
-		}, nil
+		}
 	case *mcpl.Foreach:
 		return fc.foreach(st, sc)
 	case *mcpl.Return:
 		if st.Value == nil {
-			return func(*frame) ctrl { return ctrlReturn }, nil
+			return func(*frame) ctrl { return ctrlReturn }
 		}
 		switch fc.cf.fn.Return.Kind {
 		case mcpl.KindFloat:
-			v, err := fc.floatExpr(st.Value, sc)
-			if err != nil {
-				return nil, err
-			}
+			v := fc.floatExpr(st.Value, sc)
 			return func(f *frame) ctrl {
 				f.retf = v(f)
 				return ctrlReturn
-			}, nil
-		case mcpl.KindInt:
-			v, err := fc.intExpr(st.Value, sc)
-			if err != nil {
-				return nil, err
 			}
+		case mcpl.KindInt:
+			v := fc.intExpr(st.Value, sc)
 			return func(f *frame) ctrl {
 				f.reti = v(f)
 				return ctrlReturn
-			}, nil
-		case mcpl.KindBool:
-			v, err := fc.boolExpr(st.Value, sc)
-			if err != nil {
-				return nil, err
 			}
-			return func(f *frame) ctrl {
-				f.retb = v(f)
-				return ctrlReturn
-			}, nil
-		default:
-			return nil, unsupported("%v: return value in void function", st.Pos)
+		}
+		v := fc.boolExpr(st.Value, sc)
+		return func(f *frame) ctrl {
+			f.retb = v(f)
+			return ctrlReturn
 		}
 	case *mcpl.ExprStmt:
 		return fc.exprStmt(st, sc)
@@ -493,17 +282,62 @@ func (fc *fcomp) stmt(s mcpl.Stmt, sc *cscope) (stmtFn, error) {
 				throw("%v: barrier aborted by failing thread", pos)
 			}
 			return ctrlNext
-		}, nil
-	default:
-		return nil, unsupported("%v: unknown statement %T", s.Position(), s)
+		}
+	}
+	unchecked(s.Position(), fmt.Sprintf("%T", s))
+	return nil
+}
+
+// forLoop compiles a for loop in its own scope inner.
+func (fc *fcomp) forLoop(st *mcpl.For, inner *cscope) stmtFn {
+	init := nopStmt
+	if st.Init != nil {
+		init = fc.stmt(st.Init, inner)
+	}
+	cond := func(*frame) bool { return true }
+	if st.Cond != nil {
+		cond = fc.boolExpr(st.Cond, inner)
+	}
+	post := nopStmt
+	if st.Post != nil {
+		post = fc.stmt(st.Post, inner)
+	}
+	body := fc.block(st.Body, inner)
+	if v, b, le, step, ok := fc.countedFor(st, inner); ok {
+		// A native loop over slots. The body may assign the variable or
+		// the bound, so both are re-read on every iteration.
+		if le {
+			return func(f *frame) ctrl {
+				for init(f); f.i[v] <= f.i[b]; f.i[v] += step {
+					if body(f) == ctrlReturn {
+						return ctrlReturn
+					}
+				}
+				return ctrlNext
+			}
+		}
+		return func(f *frame) ctrl {
+			for init(f); f.i[v] < f.i[b]; f.i[v] += step {
+				if body(f) == ctrlReturn {
+					return ctrlReturn
+				}
+			}
+			return ctrlNext
+		}
+	}
+	return func(f *frame) ctrl {
+		for init(f); cond(f); post(f) {
+			if body(f) == ctrlReturn {
+				return ctrlReturn
+			}
+		}
+		return ctrlNext
 	}
 }
 
 // countedFor matches a for loop of the form `for (init; v < b; v += step)`
 // (or `<=`, `v++`, `v--`, `v -= step`) with v an int scalar, b an int scalar
-// or literal and step a literal, and returns their slots. The post statement
-// has already compiled, so an assignment the generic path rejects never
-// reaches here.
+// or literal and step a literal, and returns their slots.
 func (fc *fcomp) countedFor(st *mcpl.For, sc *cscope) (v, b int, le bool, step int64, ok bool) {
 	cond, isBin := st.Cond.(*mcpl.Binary)
 	if !isBin || (cond.Op != "<" && cond.Op != "<=") {
@@ -539,22 +373,15 @@ func (fc *fcomp) countedFor(st *mcpl.For, sc *cscope) (v, b int, le bool, step i
 	return vl.slot, bl.slot, cond.Op == "<=", step, true
 }
 
-func (fc *fcomp) varDecl(d *mcpl.VarDecl, sc *cscope) (stmtFn, error) {
-	ref, err := fc.alloc(d.Type, d.Pos)
-	if err != nil {
-		return nil, err
-	}
+func (fc *fcomp) varDecl(d *mcpl.VarDecl, sc *cscope) stmtFn {
+	ref := fc.alloc(d.Type)
 	if d.Type.IsArray() {
 		dimFns := make([]intFn, len(d.Type.Dims))
 		for i, de := range d.Type.Dims {
-			fn, err := fc.intExpr(de, sc)
-			if err != nil {
-				return nil, err
-			}
-			dimFns[i] = fn
+			dimFns[i] = fc.intExpr(de, sc)
 		}
 		// Bind after dim compilation: dims cannot reference the variable.
-		sc.vars[d.Name] = symInfo{ref: ref, typ: d.Type}
+		sc.vars[d.Name] = ref
 		slot, kind, pos := ref.idx, d.Type.Kind, d.Pos
 		return func(f *frame) ctrl {
 			dims := make([]int, len(dimFns))
@@ -566,114 +393,77 @@ func (fc *fcomp) varDecl(d *mcpl.VarDecl, sc *cscope) (stmtFn, error) {
 				dims[i] = int(n)
 			}
 			if kind == mcpl.KindFloat {
-				f.a[slot] = interp.NewFloatArray(dims...)
+				f.a[slot] = mcpl.NewFloatArray(dims...)
 			} else {
-				f.a[slot] = interp.NewIntArray(dims...)
+				f.a[slot] = mcpl.NewIntArray(dims...)
 			}
 			return ctrlNext
-		}, nil
+		}
 	}
 	// A scalar declaration is an assignment of its initializer (or zero),
 	// compiled before the name is bound: the initializer cannot see it.
 	init := d.Init
-	switch d.Type.Kind {
-	case mcpl.KindFloat:
-		if init == nil {
+	if init == nil {
+		switch d.Type.Kind {
+		case mcpl.KindFloat:
 			init = &mcpl.FloatLit{Pos: d.Pos}
-		}
-	case mcpl.KindInt:
-		if init == nil {
+		case mcpl.KindInt:
 			init = &mcpl.IntLit{Pos: d.Pos}
-		}
-	case mcpl.KindBool:
-		if init == nil {
+		default:
 			init = &mcpl.BoolLit{Pos: d.Pos}
 		}
-	default:
-		return nil, unsupported("%v: variable of type %s", d.Pos, d.Type)
 	}
-	sym := symInfo{ref: ref, typ: d.Type}
-	fn, err := fc.scalarAssign(&mcpl.Assign{Op: "=", Rhs: init, Pos: d.Pos}, sym, sc)
-	if err != nil {
-		return nil, err
-	}
-	sc.vars[d.Name] = sym
-	return fn, nil
+	fn := fc.scalarAssign(&mcpl.Assign{Op: "=", Rhs: init, Pos: d.Pos}, ref, sc)
+	sc.vars[d.Name] = ref
+	return fn
 }
 
-func (fc *fcomp) assign(a *mcpl.Assign, sc *cscope) (stmtFn, error) {
-	switch lhs := a.Lhs.(type) {
-	case *mcpl.Ident:
-		sym, crossed, ok := sc.lookupAssign(lhs.Name)
-		if !ok {
-			return nil, unsupported("%v: undefined variable %s", lhs.Pos, lhs.Name)
-		}
-		if crossed && !sym.typ.IsArray() {
-			// A scalar declared outside a barrier-synchronized foreach:
-			// parallel iterations run in private frame copies, so the write
-			// could not be shared. The interpreter's shared-cell semantics are
-			// racy here; defer to it explicitly.
-			return nil, unsupported("%v: assignment to scalar %s declared outside parallel foreach", a.Pos, lhs.Name)
-		}
-		return fc.scalarAssign(a, sym, sc)
-	case *mcpl.Index:
+func (fc *fcomp) assign(a *mcpl.Assign, sc *cscope) stmtFn {
+	if lhs, ok := a.Lhs.(*mcpl.Index); ok {
 		return fc.indexAssign(a, lhs, sc)
-	default:
-		return nil, unsupported("%v: bad assignment target", a.Pos)
 	}
+	// The checker admits writes to an outer scalar only where the frame is
+	// shared: nowhere inside the body of a parallel foreach.
+	return fc.scalarAssign(a, sc.lookup(a.Lhs.(*mcpl.Ident).Name), sc)
 }
 
 // scalarAssign lowers `x = e` and `x op= e` for a scalar slot x. When e is
 // a leaf, or an arithmetic operator over two leaves, the whole statement is
 // one closure with e read inline.
-func (fc *fcomp) scalarAssign(a *mcpl.Assign, sym symInfo, sc *cscope) (stmtFn, error) {
-	slot := sym.ref.idx
-	switch sym.typ.Kind {
+func (fc *fcomp) scalarAssign(a *mcpl.Assign, ref slotRef, sc *cscope) stmtFn {
+	slot := ref.idx
+	switch ref.kind {
 	case mcpl.KindFloat:
-		op, ok := floatOp(a.Op)
-		if !ok {
-			return nil, unsupported("%v: operator %s on float", a.Pos, a.Op)
-		}
+		op, _ := floatOp(a.Op) // the checker admits no float %=
 		if bop, l, r, ok := fc.leafPair(a.Rhs, mcpl.KindFloat, sc); ok {
 			return func(f *frame) ctrl {
 				f.f[slot] = arith(op, f.f[slot], arith(bop, l.float(f), r.float(f)))
 				return ctrlNext
-			}, nil
+			}
 		}
-		rhs, err := fc.floatOperand(a.Rhs, sc)
-		if err != nil {
-			return nil, err
-		}
+		rhs := fc.floatOperand(a.Rhs, sc)
 		if l := rhs.leaf; l != nil {
-			return func(f *frame) ctrl { f.f[slot] = arith(op, f.f[slot], l.float(f)); return ctrlNext }, nil
+			return func(f *frame) ctrl { f.f[slot] = arith(op, f.f[slot], l.float(f)); return ctrlNext }
 		}
 		fn := rhs.fn
-		return func(f *frame) ctrl { f.f[slot] = arith(op, f.f[slot], fn(f)); return ctrlNext }, nil
+		return func(f *frame) ctrl { f.f[slot] = arith(op, f.f[slot], fn(f)); return ctrlNext }
 	case mcpl.KindInt:
 		if op, ok := intOp(a.Op); ok {
 			if bop, l, r, ok := fc.leafPair(a.Rhs, mcpl.KindInt, sc); ok {
 				return func(f *frame) ctrl {
 					f.i[slot] = arithI(op, f.i[slot], arithI(bop, l.int(f), r.int(f)))
 					return ctrlNext
-				}, nil
+				}
 			}
-			rhs, err := fc.intOperand(a.Rhs, sc)
-			if err != nil {
-				return nil, err
-			}
+			rhs := fc.intOperand(a.Rhs, sc)
 			if l := rhs.leaf; l != nil {
-				return func(f *frame) ctrl { f.i[slot] = arithI(op, f.i[slot], l.int(f)); return ctrlNext }, nil
+				return func(f *frame) ctrl { f.i[slot] = arithI(op, f.i[slot], l.int(f)); return ctrlNext }
 			}
 			fn := rhs.fn
-			return func(f *frame) ctrl { f.i[slot] = arithI(op, f.i[slot], fn(f)); return ctrlNext }, nil
+			return func(f *frame) ctrl { f.i[slot] = arithI(op, f.i[slot], fn(f)); return ctrlNext }
 		}
-		rhs, err := fc.intExpr(a.Rhs, sc)
-		if err != nil {
-			return nil, err
-		}
-		pos := a.Pos
-		switch a.Op {
-		case "/=":
+		rhs, pos := fc.intExpr(a.Rhs, sc), a.Pos
+		if a.Op == "/=" {
 			return func(f *frame) ctrl {
 				r := rhs(f)
 				if r == 0 {
@@ -681,67 +471,44 @@ func (fc *fcomp) scalarAssign(a *mcpl.Assign, sym symInfo, sc *cscope) (stmtFn, 
 				}
 				f.i[slot] /= r
 				return ctrlNext
-			}, nil
-		case "%=":
-			return func(f *frame) ctrl {
-				r := rhs(f)
-				if r == 0 {
-					throw("%v: integer modulo by zero", pos)
-				}
-				f.i[slot] %= r
-				return ctrlNext
-			}, nil
+			}
 		}
-		return nil, unsupported("%v: operator %s on int", a.Pos, a.Op)
-	case mcpl.KindBool:
-		if a.Op != "=" {
-			return nil, unsupported("%v: operator %s on boolean", a.Pos, a.Op)
+		return func(f *frame) ctrl {
+			r := rhs(f)
+			if r == 0 {
+				throw("%v: integer modulo by zero", pos)
+			}
+			f.i[slot] %= r
+			return ctrlNext
 		}
-		rhs, err := fc.boolExpr(a.Rhs, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) ctrl { f.b[slot] = rhs(f); return ctrlNext }, nil
 	}
-	return nil, unsupported("%v: assignment to %s", a.Pos, sym.typ)
+	rhs := fc.boolExpr(a.Rhs, sc) // booleans admit only `=`
+	return func(f *frame) ctrl { f.b[slot] = rhs(f); return ctrlNext }
 }
 
-func (fc *fcomp) indexAssign(a *mcpl.Assign, lhs *mcpl.Index, sc *cscope) (stmtFn, error) {
-	oi, kind, err := fc.indexRef(lhs, sc)
-	if err != nil {
-		return nil, err
-	}
+func (fc *fcomp) indexAssign(a *mcpl.Assign, lhs *mcpl.Index, sc *cscope) stmtFn {
+	oi, kind := fc.indexRef(lhs, sc)
 	pos := a.Pos
 	if kind == mcpl.KindFloat {
-		op, ok := floatOp(a.Op)
-		if !ok {
-			return nil, unsupported("%v: operator %s on float element", a.Pos, a.Op)
-		}
-		rhs, err := fc.floatExpr(a.Rhs, sc)
-		if err != nil {
-			return nil, err
-		}
+		op, _ := floatOp(a.Op) // the checker admits no float %=
+		rhs := fc.floatExpr(a.Rhs, sc)
 		return func(f *frame) ctrl {
 			arr, off := oi(f)
 			v := rhs(f)
 			arr.F[off] = arith(op, arr.F[off], v)
 			return ctrlNext
-		}, nil
+		}
 	}
-	rhs, err := fc.intExpr(a.Rhs, sc)
-	if err != nil {
-		return nil, err
-	}
+	rhs := fc.intExpr(a.Rhs, sc)
 	if op, ok := intOp(a.Op); ok {
 		return func(f *frame) ctrl {
 			arr, off := oi(f)
 			v := rhs(f)
 			arr.I[off] = arithI(op, arr.I[off], v)
 			return ctrlNext
-		}, nil
+		}
 	}
-	switch a.Op {
-	case "/=":
+	if a.Op == "/=" {
 		return func(f *frame) ctrl {
 			arr, off := oi(f)
 			r := rhs(f)
@@ -750,141 +517,64 @@ func (fc *fcomp) indexAssign(a *mcpl.Assign, lhs *mcpl.Index, sc *cscope) (stmtF
 			}
 			arr.I[off] /= r
 			return ctrlNext
-		}, nil
-	case "%=":
-		return func(f *frame) ctrl {
-			arr, off := oi(f)
-			r := rhs(f)
-			if r == 0 {
-				throw("%v: integer modulo by zero", pos)
-			}
-			arr.I[off] %= r
-			return ctrlNext
-		}, nil
+		}
 	}
-	return nil, unsupported("%v: operator %s on int element", a.Pos, a.Op)
+	return func(f *frame) ctrl {
+		arr, off := oi(f)
+		r := rhs(f)
+		if r == 0 {
+			throw("%v: integer modulo by zero", pos)
+		}
+		arr.I[off] %= r
+		return ctrlNext
+	}
 }
 
-func (fc *fcomp) exprStmt(st *mcpl.ExprStmt, sc *cscope) (stmtFn, error) {
-	t, err := fc.typeOf(st.X, sc)
-	if err != nil {
-		return nil, err
+func (fc *fcomp) exprStmt(st *mcpl.ExprStmt, sc *cscope) stmtFn {
+	t := fc.typ(st.X)
+	if t.IsArray() {
+		return nopStmt // a bare array name reads nothing
 	}
 	switch t.Kind {
-	case mcpl.KindVoid:
-		call, ok := st.X.(*mcpl.Call)
-		if !ok {
-			return nil, unsupported("%v: void expression statement", st.Pos)
-		}
-		callee, stores, err := fc.callHelper(call, sc)
-		if err != nil {
-			return nil, err
-		}
+	case mcpl.KindVoid: // a call of a void helper
+		callee, stores := fc.callHelper(st.X.(*mcpl.Call), sc)
 		return func(f *frame) ctrl {
 			nf := invoke(f, callee, stores)
 			callee.lay.put(nf)
 			return ctrlNext
-		}, nil
+		}
 	case mcpl.KindFloat:
-		v, err := fc.floatExpr(st.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) ctrl { v(f); return ctrlNext }, nil
+		v := fc.floatExpr(st.X, sc)
+		return func(f *frame) ctrl { v(f); return ctrlNext }
 	case mcpl.KindInt:
-		v, err := fc.intExpr(st.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) ctrl { v(f); return ctrlNext }, nil
-	case mcpl.KindBool:
-		v, err := fc.boolExpr(st.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) ctrl { v(f); return ctrlNext }, nil
+		v := fc.intExpr(st.X, sc)
+		return func(f *frame) ctrl { v(f); return ctrlNext }
 	}
-	return nil, unsupported("%v: expression statement of type %s", st.Pos, t)
+	v := fc.boolExpr(st.X, sc)
+	return func(f *frame) ctrl { v(f); return ctrlNext }
 }
 
 // ---------- foreach ----------
 
-// hasDirectBarrier reports whether the block contains a barrier not nested
-// inside another foreach (same scan as the interpreter, so both engines
-// choose the same execution mode).
-func hasDirectBarrier(b *mcpl.Block) bool {
-	var scan func(ss []mcpl.Stmt) bool
-	scan = func(ss []mcpl.Stmt) bool {
-		for _, s := range ss {
-			switch st := s.(type) {
-			case *mcpl.Barrier:
-				return true
-			case *mcpl.Block:
-				if scan(st.Stmts) {
-					return true
-				}
-			case *mcpl.If:
-				if scan(st.Then.Stmts) {
-					return true
-				}
-				if st.Else != nil && scan([]mcpl.Stmt{st.Else}) {
-					return true
-				}
-			case *mcpl.For:
-				if scan(st.Body.Stmts) {
-					return true
-				}
-			case *mcpl.While:
-				if scan(st.Body.Stmts) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return scan(b.Stmts)
-}
-
-func (fc *fcomp) foreach(st *mcpl.Foreach, sc *cscope) (stmtFn, error) {
-	// Collect the maximal chain of directly nested single-statement foreach
-	// loops into one combined iteration domain (barriers synchronize the
-	// whole work-group, all dimensions at once). Bounds compile in the outer
-	// scope, matching the interpreter's upfront evaluation.
+func (fc *fcomp) foreach(st *mcpl.Foreach, sc *cscope) stmtFn {
+	// The chain of directly nested single-statement foreach loops is one
+	// combined iteration domain (barriers synchronize the whole work-group,
+	// all dimensions at once). Bounds compile in the outer scope, matching
+	// the interpreter's upfront evaluation.
 	type dim struct {
 		slot  int
 		bound intFn
 	}
-	var dims []dim
+	chain, body, parallel := st.Chain()
+	dims := make([]dim, len(chain))
 	inner := newScope(sc)
-	body := st.Body
-	cur := st
-	for {
-		bf, err := fc.intExpr(cur.Bound, sc)
-		if err != nil {
-			return nil, err
-		}
-		ref, err := fc.alloc(mcpl.Type{Kind: mcpl.KindInt}, cur.Pos)
-		if err != nil {
-			return nil, err
-		}
-		inner.vars[cur.Var] = symInfo{ref: ref, typ: mcpl.Type{Kind: mcpl.KindInt}}
-		dims = append(dims, dim{slot: ref.idx, bound: bf})
-		if len(cur.Body.Stmts) == 1 {
-			if next, ok := cur.Body.Stmts[0].(*mcpl.Foreach); ok {
-				cur = next
-				body = next.Body
-				continue
-			}
-		}
-		body = cur.Body
-		break
+	for i, fe := range chain {
+		bound := fc.intExpr(fe.Bound, sc)
+		ref := fc.alloc(mcpl.Type{Kind: mcpl.KindInt})
+		inner.vars[fe.Var] = ref
+		dims[i] = dim{slot: ref.idx, bound: bound}
 	}
-	parallel := hasDirectBarrier(body)
-	inner.boundary = parallel
-	bodyFn, err := fc.blockShared(body, inner)
-	if err != nil {
-		return nil, err
-	}
+	bodyFn := fc.blockShared(body, inner)
 	pos := st.Pos
 
 	if !parallel {
@@ -902,7 +592,7 @@ func (fc *fcomp) foreach(st *mcpl.Foreach, sc *cscope) (stmtFn, error) {
 					}
 				}
 				return ctrlNext
-			}, nil
+			}
 		case 2:
 			d0, d1 := dims[0], dims[1]
 			return func(f *frame) ctrl {
@@ -918,7 +608,7 @@ func (fc *fcomp) foreach(st *mcpl.Foreach, sc *cscope) (stmtFn, error) {
 					}
 				}
 				return ctrlNext
-			}, nil
+			}
 		default:
 			ds := dims
 			return func(f *frame) ctrl {
@@ -941,12 +631,14 @@ func (fc *fcomp) foreach(st *mcpl.Foreach, sc *cscope) (stmtFn, error) {
 					}
 				}
 				return ctrlNext
-			}, nil
+			}
 		}
 	}
 
 	// Parallel mode: one worker-pool task per combined iteration, private
-	// frame copies, synchronized at barriers spanning the whole domain.
+	// frame copies, synchronized at barriers spanning the whole domain. The
+	// checker rejects writes to scalars declared outside the body, so the
+	// private copies lose nothing.
 	ds := dims
 	lay := fc.cf.lay
 	return func(f *frame) ctrl {
@@ -993,7 +685,7 @@ func (fc *fcomp) foreach(st *mcpl.Foreach, sc *cscope) (stmtFn, error) {
 			panic(runtimeError{firstErr})
 		}
 		return ctrlNext
-	}, nil
+	}
 }
 
 func checkBound(pos mcpl.Pos, b int64) int64 {
@@ -1016,29 +708,19 @@ func runParallelBody(body stmtFn, f *frame, pos mcpl.Pos) (err error) {
 // indexRef compiles an index expression into a closure resolving the target
 // array and flat row-major offset, with per-dimension bounds checks. An
 // element whose indices are all leaves resolves through leaf.elem.
-func (fc *fcomp) indexRef(x *mcpl.Index, sc *cscope) (func(*frame) (*interp.Array, int), mcpl.BasicKind, error) {
+func (fc *fcomp) indexRef(x *mcpl.Index, sc *cscope) (func(*frame) (*mcpl.Array, int), mcpl.BasicKind) {
 	id := x.Array.(*mcpl.Ident)
-	sym, ok := sc.lookup(id.Name)
-	if !ok || !sym.typ.IsArray() {
-		return nil, 0, unsupported("%v: %s is not an array", x.Pos, id.Name)
-	}
-	if len(x.Args) != len(sym.typ.Dims) {
-		return nil, 0, unsupported("%v: array %s rank mismatch", x.Pos, id.Name)
-	}
-	if l := fc.leafOf(x, sym.typ.Kind, sc); l != nil {
-		return l.elem, sym.typ.Kind, nil
+	ref := sc.lookup(id.Name)
+	if l := fc.leafOf(x, ref.kind, sc); l != nil {
+		return l.elem, ref.kind
 	}
 	idxFns := make([]intFn, len(x.Args))
 	for i, a := range x.Args {
-		fn, err := fc.intExpr(a, sc)
-		if err != nil {
-			return nil, 0, err
-		}
-		idxFns[i] = fn
+		idxFns[i] = fc.intExpr(a, sc)
 	}
-	slot := sym.ref.idx
+	slot := ref.idx
 	name, pos := id.Name, x.Pos
-	return func(f *frame) (*interp.Array, int) {
+	return func(f *frame) (*mcpl.Array, int) {
 		arr := f.a[slot]
 		// Every index is evaluated before any is checked, as in interp.
 		var buf [4]int64
@@ -1054,7 +736,7 @@ func (fc *fcomp) indexRef(x *mcpl.Index, sc *cscope) (func(*frame) (*interp.Arra
 			off = off*arr.Dims[d] + int(k)
 		}
 		return arr, off
-	}, sym.typ.Kind, nil
+	}, ref.kind
 }
 
 func indexError(pos mcpl.Pos, name string, k int64, dim, d int) error {
@@ -1063,55 +745,28 @@ func indexError(pos mcpl.Pos, name string, k int64, dim, d int) error {
 
 // ---------- helper function calls ----------
 
-func (fc *fcomp) callHelper(x *mcpl.Call, sc *cscope) (*cfunc, []func(cf, nf *frame), error) {
-	callee, err := fc.c.fnFor(x.Name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(x.Args) != len(callee.fn.Params) {
-		return nil, nil, unsupported("%v: %s takes %d arguments, got %d", x.Pos, x.Name, len(callee.fn.Params), len(x.Args))
-	}
+func (fc *fcomp) callHelper(x *mcpl.Call, sc *cscope) (*cfunc, []func(cf, nf *frame)) {
+	callee := fc.c.fnFor(x.Name)
 	stores := make([]func(cf, nf *frame), len(x.Args))
 	for i, arg := range x.Args {
 		prm := callee.fn.Params[i]
 		dst := callee.params[i].idx
-		if prm.Type.IsArray() {
-			aid, ok := arg.(*mcpl.Ident)
-			if !ok {
-				return nil, nil, unsupported("%v: array argument must be a variable", arg.Position())
-			}
-			asym, ok := sc.lookup(aid.Name)
-			if !ok || !asym.typ.IsArray() {
-				return nil, nil, unsupported("%v: %s is not an array", arg.Position(), aid.Name)
-			}
-			src := asym.ref.idx
+		switch {
+		case prm.Type.IsArray(): // the checker admits only array names here
+			src := sc.lookup(arg.(*mcpl.Ident).Name).idx
 			stores[i] = func(cf, nf *frame) { nf.a[dst] = cf.a[src] }
-			continue
-		}
-		switch prm.Type.Kind {
-		case mcpl.KindFloat:
-			v, err := fc.floatExpr(arg, sc)
-			if err != nil {
-				return nil, nil, err
-			}
+		case prm.Type.Kind == mcpl.KindFloat:
+			v := fc.floatExpr(arg, sc)
 			stores[i] = func(cf, nf *frame) { nf.f[dst] = v(cf) }
-		case mcpl.KindInt:
-			v, err := fc.intExpr(arg, sc)
-			if err != nil {
-				return nil, nil, err
-			}
+		case prm.Type.Kind == mcpl.KindInt:
+			v := fc.intExpr(arg, sc)
 			stores[i] = func(cf, nf *frame) { nf.i[dst] = v(cf) }
-		case mcpl.KindBool:
-			v, err := fc.boolExpr(arg, sc)
-			if err != nil {
-				return nil, nil, err
-			}
-			stores[i] = func(cf, nf *frame) { nf.b[dst] = v(cf) }
 		default:
-			return nil, nil, unsupported("%v: argument of type %s", arg.Position(), prm.Type)
+			v := fc.boolExpr(arg, sc)
+			stores[i] = func(cf, nf *frame) { nf.b[dst] = v(cf) }
 		}
 	}
-	return callee, stores, nil
+	return callee, stores
 }
 
 // invoke runs a compiled helper in a pooled frame. The caller reads the
@@ -1134,294 +789,178 @@ func invoke(cf *frame, callee *cfunc, stores []func(cf, nf *frame)) *frame {
 
 // ---------- expressions ----------
 
-func (fc *fcomp) floatExpr(e mcpl.Expr, sc *cscope) (floatFn, error) {
-	t, err := fc.typeOf(e, sc)
-	if err != nil {
-		return nil, err
-	}
-	switch t.Kind {
-	case mcpl.KindFloat:
+// floatExpr compiles a numeric expression in float context: a float
+// expression, or an int one widened.
+func (fc *fcomp) floatExpr(e mcpl.Expr, sc *cscope) floatFn {
+	if fc.typ(e).Kind == mcpl.KindFloat {
 		return fc.floatNative(e, sc)
-	case mcpl.KindInt:
-		v, err := fc.intNative(e, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) float64 { return float64(v(f)) }, nil
 	}
-	return nil, unsupported("%v: %s expression where float expected", e.Position(), t)
+	v := fc.intExpr(e, sc)
+	return func(f *frame) float64 { return float64(v(f)) }
 }
 
 // floatNative compiles a float-typed expression; leaves read through
 // leaf.float.
-func (fc *fcomp) floatNative(e mcpl.Expr, sc *cscope) (floatFn, error) {
+func (fc *fcomp) floatNative(e mcpl.Expr, sc *cscope) floatFn {
 	if l := fc.leafOf(e, mcpl.KindFloat, sc); l != nil {
-		return l.float, nil
+		return l.float
 	}
 	switch x := e.(type) {
 	case *mcpl.Unary: // only "-" yields float
-		v, err := fc.floatExpr(x.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) float64 { return -v(f) }, nil
+		v := fc.floatExpr(x.X, sc)
+		return func(f *frame) float64 { return -v(f) }
 	case *mcpl.Cast:
 		return fc.floatExpr(x.X, sc) // (float)x: identity or int widening
 	case *mcpl.Cond:
-		c, err := fc.boolExpr(x.C, sc)
-		if err != nil {
-			return nil, err
-		}
-		tv, err := fc.floatExpr(x.T, sc)
-		if err != nil {
-			return nil, err
-		}
-		fv, err := fc.floatExpr(x.F, sc)
-		if err != nil {
-			return nil, err
-		}
+		c, tv, fv := fc.boolExpr(x.C, sc), fc.floatExpr(x.T, sc), fc.floatExpr(x.F, sc)
 		return func(f *frame) float64 {
 			if c(f) {
 				return tv(f)
 			}
 			return fv(f)
-		}, nil
-	case *mcpl.Binary:
-		op, ok := floatOp(x.Op)
-		if !ok {
-			return nil, unsupported("%v: float operator %s", x.Pos, x.Op)
 		}
-		l, err := fc.floatOperand(x.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := fc.floatOperand(x.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		return floatArith(op, l, r), nil
+	case *mcpl.Binary: // + - * / (comparisons yield booleans)
+		op, _ := floatOp(x.Op)
+		return floatArith(op, fc.floatOperand(x.L, sc), fc.floatOperand(x.R, sc))
 	case *mcpl.Index:
-		oi, kind, err := fc.indexRef(x, sc)
-		if err != nil {
-			return nil, err
-		}
-		if kind != mcpl.KindFloat {
-			return nil, unsupported("%v: int array element where float expected", x.Pos)
-		}
-		return func(f *frame) float64 { arr, off := oi(f); return arr.F[off] }, nil
+		oi, _ := fc.indexRef(x, sc)
+		return func(f *frame) float64 { arr, off := oi(f); return arr.F[off] }
 	case *mcpl.Call:
 		if _, ok := mcpl.Builtins[x.Name]; ok {
 			return fc.floatBuiltin(x, sc)
 		}
-		callee, stores, err := fc.callHelper(x, sc)
-		if err != nil {
-			return nil, err
-		}
+		callee, stores := fc.callHelper(x, sc)
 		return func(f *frame) float64 {
 			nf := invoke(f, callee, stores)
 			v := nf.retf
 			callee.lay.put(nf)
 			return v
-		}, nil
-	default:
-		return nil, unsupported("%v: float expression %T", e.Position(), e)
+		}
 	}
+	unchecked(e.Position(), mcpl.ExprString(e))
+	return nil
 }
 
-func (fc *fcomp) floatBuiltin(x *mcpl.Call, sc *cscope) (floatFn, error) {
-	b := mcpl.Builtins[x.Name]
-	if len(x.Args) != len(b.Params) {
-		return nil, unsupported("%v: %s takes %d arguments", x.Pos, x.Name, len(b.Params))
-	}
+func (fc *fcomp) floatBuiltin(x *mcpl.Call, sc *cscope) floatFn {
 	args := make([]floatFn, len(x.Args))
 	for i, a := range x.Args {
-		fn, err := fc.floatExpr(a, sc)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = fn
+		args[i] = fc.floatExpr(a, sc)
 	}
 	switch x.Name {
 	case "sqrt":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Sqrt(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Sqrt(a0(f)) }
 	case "rsqrt":
 		a0 := args[0]
-		return func(f *frame) float64 { return 1 / math.Sqrt(a0(f)) }, nil
+		return func(f *frame) float64 { return 1 / math.Sqrt(a0(f)) }
 	case "fabs":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Abs(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Abs(a0(f)) }
 	case "floor":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Floor(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Floor(a0(f)) }
 	case "exp":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Exp(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Exp(a0(f)) }
 	case "log":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Log(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Log(a0(f)) }
 	case "sin":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Sin(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Sin(a0(f)) }
 	case "cos":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Cos(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Cos(a0(f)) }
 	case "tan":
 		a0 := args[0]
-		return func(f *frame) float64 { return math.Tan(a0(f)) }, nil
+		return func(f *frame) float64 { return math.Tan(a0(f)) }
 	case "pow":
 		a0, a1 := args[0], args[1]
-		return func(f *frame) float64 { return math.Pow(a0(f), a1(f)) }, nil
+		return func(f *frame) float64 { return math.Pow(a0(f), a1(f)) }
 	case "fmin":
 		a0, a1 := args[0], args[1]
-		return func(f *frame) float64 { return math.Min(a0(f), a1(f)) }, nil
+		return func(f *frame) float64 { return math.Min(a0(f), a1(f)) }
 	case "fmax":
 		a0, a1 := args[0], args[1]
-		return func(f *frame) float64 { return math.Max(a0(f), a1(f)) }, nil
+		return func(f *frame) float64 { return math.Max(a0(f), a1(f)) }
 	case "clamp":
 		a0, a1, a2 := args[0], args[1], args[2]
-		return func(f *frame) float64 { return math.Min(math.Max(a0(f), a1(f)), a2(f)) }, nil
+		return func(f *frame) float64 { return math.Min(math.Max(a0(f), a1(f)), a2(f)) }
 	}
-	return nil, unsupported("%v: unknown float builtin %s", x.Pos, x.Name)
+	unchecked(x.Pos, "float builtin "+x.Name)
+	return nil
 }
 
-func (fc *fcomp) intExpr(e mcpl.Expr, sc *cscope) (intFn, error) {
-	t, err := fc.typeOf(e, sc)
-	if err != nil {
-		return nil, err
-	}
-	if t.Kind != mcpl.KindInt || t.IsArray() {
-		return nil, unsupported("%v: %s expression where int expected", e.Position(), t)
-	}
-	return fc.intNative(e, sc)
-}
-
-// intNative compiles an int-typed expression; leaves read through leaf.int.
-func (fc *fcomp) intNative(e mcpl.Expr, sc *cscope) (intFn, error) {
+// intExpr compiles an int-typed expression; leaves read through leaf.int.
+func (fc *fcomp) intExpr(e mcpl.Expr, sc *cscope) intFn {
 	if l := fc.leafOf(e, mcpl.KindInt, sc); l != nil {
-		return l.int, nil
+		return l.int
 	}
 	switch x := e.(type) {
 	case *mcpl.Unary:
-		v, err := fc.intExpr(x.X, sc)
-		if err != nil {
-			return nil, err
+		v := fc.intExpr(x.X, sc)
+		if x.Op == "~" {
+			return func(f *frame) int64 { return ^v(f) }
 		}
-		switch x.Op {
-		case "-":
-			return func(f *frame) int64 { return -v(f) }, nil
-		case "~":
-			return func(f *frame) int64 { return ^v(f) }, nil
-		}
-		return nil, unsupported("%v: int unary %s", x.Pos, x.Op)
+		return func(f *frame) int64 { return -v(f) }
 	case *mcpl.Cast:
-		it, err := fc.typeOf(x.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		if it.Kind == mcpl.KindFloat {
-			v, err := fc.floatNative(x.X, sc)
-			if err != nil {
-				return nil, err
-			}
-			return func(f *frame) int64 { return int64(v(f)) }, nil
+		if fc.typ(x.X).Kind == mcpl.KindFloat {
+			v := fc.floatNative(x.X, sc)
+			return func(f *frame) int64 { return int64(v(f)) }
 		}
 		return fc.intExpr(x.X, sc)
 	case *mcpl.Cond:
-		c, err := fc.boolExpr(x.C, sc)
-		if err != nil {
-			return nil, err
-		}
-		tv, err := fc.intExpr(x.T, sc)
-		if err != nil {
-			return nil, err
-		}
-		fv, err := fc.intExpr(x.F, sc)
-		if err != nil {
-			return nil, err
-		}
+		c, tv, fv := fc.boolExpr(x.C, sc), fc.intExpr(x.T, sc), fc.intExpr(x.F, sc)
 		return func(f *frame) int64 {
 			if c(f) {
 				return tv(f)
 			}
 			return fv(f)
-		}, nil
+		}
 	case *mcpl.Binary:
 		if op, ok := intOp(x.Op); ok {
-			l, err := fc.intOperand(x.L, sc)
-			if err != nil {
-				return nil, err
-			}
-			r, err := fc.intOperand(x.R, sc)
-			if err != nil {
-				return nil, err
-			}
-			return intArith(op, l, r), nil
+			return intArith(op, fc.intOperand(x.L, sc), fc.intOperand(x.R, sc))
 		}
-		l, err := fc.intExpr(x.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := fc.intExpr(x.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		pos := x.Pos
-		switch x.Op {
-		case "/":
+		l, r, pos := fc.intExpr(x.L, sc), fc.intExpr(x.R, sc), x.Pos
+		if x.Op == "/" {
 			return func(f *frame) int64 {
 				rv := r(f)
 				if rv == 0 {
 					throw("%v: integer division by zero", pos)
 				}
 				return l(f) / rv
-			}, nil
-		case "%":
-			return func(f *frame) int64 {
-				rv := r(f)
-				if rv == 0 {
-					throw("%v: integer modulo by zero", pos)
-				}
-				return l(f) % rv
-			}, nil
+			}
 		}
-		return nil, unsupported("%v: int operator %s", x.Pos, x.Op)
+		return func(f *frame) int64 {
+			rv := r(f)
+			if rv == 0 {
+				throw("%v: integer modulo by zero", pos)
+			}
+			return l(f) % rv
+		}
 	case *mcpl.Index:
-		oi, kind, err := fc.indexRef(x, sc)
-		if err != nil {
-			return nil, err
-		}
-		if kind != mcpl.KindInt {
-			return nil, unsupported("%v: float array element where int expected", x.Pos)
-		}
-		return func(f *frame) int64 { arr, off := oi(f); return arr.I[off] }, nil
+		oi, _ := fc.indexRef(x, sc)
+		return func(f *frame) int64 { arr, off := oi(f); return arr.I[off] }
 	case *mcpl.Call:
 		if _, ok := mcpl.Builtins[x.Name]; ok {
 			return fc.intBuiltin(x, sc)
 		}
-		callee, stores, err := fc.callHelper(x, sc)
-		if err != nil {
-			return nil, err
-		}
+		callee, stores := fc.callHelper(x, sc)
 		return func(f *frame) int64 {
 			nf := invoke(f, callee, stores)
 			v := nf.reti
 			callee.lay.put(nf)
 			return v
-		}, nil
-	default:
-		return nil, unsupported("%v: int expression %T", e.Position(), e)
+		}
 	}
+	unchecked(e.Position(), mcpl.ExprString(e))
+	return nil
 }
 
-func (fc *fcomp) intBuiltin(x *mcpl.Call, sc *cscope) (intFn, error) {
+func (fc *fcomp) intBuiltin(x *mcpl.Call, sc *cscope) intFn {
 	args := make([]intFn, len(x.Args))
 	for i, a := range x.Args {
-		fn, err := fc.intExpr(a, sc)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = fn
+		args[i] = fc.intExpr(a, sc)
 	}
 	switch x.Name {
 	case "abs":
@@ -1432,7 +971,7 @@ func (fc *fcomp) intBuiltin(x *mcpl.Call, sc *cscope) (intFn, error) {
 				v = -v
 			}
 			return v
-		}, nil
+		}
 	case "min":
 		a0, a1 := args[0], args[1]
 		return func(f *frame) int64 {
@@ -1441,7 +980,7 @@ func (fc *fcomp) intBuiltin(x *mcpl.Call, sc *cscope) (intFn, error) {
 				return a
 			}
 			return b
-		}, nil
+		}
 	case "max":
 		a0, a1 := args[0], args[1]
 		return func(f *frame) int64 {
@@ -1450,125 +989,57 @@ func (fc *fcomp) intBuiltin(x *mcpl.Call, sc *cscope) (intFn, error) {
 				return a
 			}
 			return b
-		}, nil
+		}
 	}
-	return nil, unsupported("%v: unknown int builtin %s", x.Pos, x.Name)
+	unchecked(x.Pos, "int builtin "+x.Name)
+	return nil
 }
 
-func (fc *fcomp) boolExpr(e mcpl.Expr, sc *cscope) (boolFn, error) {
+func (fc *fcomp) boolExpr(e mcpl.Expr, sc *cscope) boolFn {
 	switch x := e.(type) {
 	case *mcpl.BoolLit:
 		v := x.Value
-		return func(*frame) bool { return v }, nil
+		return func(*frame) bool { return v }
 	case *mcpl.Ident:
-		sym, ok := sc.lookup(x.Name)
-		if !ok {
-			return nil, unsupported("%v: undefined variable %s", x.Pos, x.Name)
-		}
-		if sym.typ.Kind != mcpl.KindBool || sym.typ.IsArray() {
-			return nil, unsupported("%v: %s is not boolean", x.Pos, x.Name)
-		}
-		slot := sym.ref.idx
-		return func(f *frame) bool { return f.b[slot] }, nil
-	case *mcpl.Unary:
-		if x.Op != "!" {
-			return nil, unsupported("%v: bool unary %s", x.Pos, x.Op)
-		}
-		v, err := fc.boolExpr(x.X, sc)
-		if err != nil {
-			return nil, err
-		}
-		return func(f *frame) bool { return !v(f) }, nil
+		slot := sc.lookup(x.Name).idx
+		return func(f *frame) bool { return f.b[slot] }
+	case *mcpl.Unary: // only "!" yields a boolean
+		v := fc.boolExpr(x.X, sc)
+		return func(f *frame) bool { return !v(f) }
 	case *mcpl.Binary:
 		switch x.Op {
 		case "&&":
-			l, err := fc.boolExpr(x.L, sc)
-			if err != nil {
-				return nil, err
-			}
-			r, err := fc.boolExpr(x.R, sc)
-			if err != nil {
-				return nil, err
-			}
-			return func(f *frame) bool { return l(f) && r(f) }, nil
+			l, r := fc.boolExpr(x.L, sc), fc.boolExpr(x.R, sc)
+			return func(f *frame) bool { return l(f) && r(f) }
 		case "||":
-			l, err := fc.boolExpr(x.L, sc)
-			if err != nil {
-				return nil, err
-			}
-			r, err := fc.boolExpr(x.R, sc)
-			if err != nil {
-				return nil, err
-			}
-			return func(f *frame) bool { return l(f) || r(f) }, nil
-		case "<", "<=", ">", ">=", "==", "!=":
-			return fc.compare(x, sc)
+			l, r := fc.boolExpr(x.L, sc), fc.boolExpr(x.R, sc)
+			return func(f *frame) bool { return l(f) || r(f) }
 		}
-		return nil, unsupported("%v: bool operator %s", x.Pos, x.Op)
-	case *mcpl.Call:
-		if _, ok := mcpl.Builtins[x.Name]; ok {
-			return nil, unsupported("%v: builtin %s is not boolean", x.Pos, x.Name)
-		}
-		callee, stores, err := fc.callHelper(x, sc)
-		if err != nil {
-			return nil, err
-		}
+		return fc.compare(x, sc)
+	case *mcpl.Call: // no builtin yields a boolean
+		callee, stores := fc.callHelper(x, sc)
 		return func(f *frame) bool {
 			nf := invoke(f, callee, stores)
 			v := nf.retb
 			callee.lay.put(nf)
 			return v
-		}, nil
-	default:
-		return nil, unsupported("%v: bool expression %T", e.Position(), e)
+		}
 	}
+	unchecked(e.Position(), mcpl.ExprString(e))
+	return nil
 }
 
-func (fc *fcomp) compare(x *mcpl.Binary, sc *cscope) (boolFn, error) {
-	lt, err := fc.typeOf(x.L, sc)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := fc.typeOf(x.R, sc)
-	if err != nil {
-		return nil, err
-	}
-	if lt.Kind == mcpl.KindBool && rt.Kind == mcpl.KindBool {
-		l, err := fc.boolExpr(x.L, sc)
-		if err != nil {
-			return nil, err
+func (fc *fcomp) compare(x *mcpl.Binary, sc *cscope) boolFn {
+	lt, rt := fc.typ(x.L).Kind, fc.typ(x.R).Kind
+	switch {
+	case lt == mcpl.KindBool: // == or != on two booleans
+		l, r := fc.boolExpr(x.L, sc), fc.boolExpr(x.R, sc)
+		if x.Op == "==" {
+			return func(f *frame) bool { return l(f) == r(f) }
 		}
-		r, err := fc.boolExpr(x.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "==":
-			return func(f *frame) bool { return l(f) == r(f) }, nil
-		case "!=":
-			return func(f *frame) bool { return l(f) != r(f) }, nil
-		}
-		return nil, unsupported("%v: operator %s on boolean", x.Pos, x.Op)
+		return func(f *frame) bool { return l(f) != r(f) }
+	case lt == mcpl.KindFloat || rt == mcpl.KindFloat:
+		return floatCompare(cmpOps[x.Op], fc.floatOperand(x.L, sc), fc.floatOperand(x.R, sc))
 	}
-	op := cmpOps[x.Op]
-	if lt.Kind == mcpl.KindFloat || rt.Kind == mcpl.KindFloat {
-		l, err := fc.floatOperand(x.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := fc.floatOperand(x.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		return floatCompare(op, l, r), nil
-	}
-	l, err := fc.intOperand(x.L, sc)
-	if err != nil {
-		return nil, err
-	}
-	r, err := fc.intOperand(x.R, sc)
-	if err != nil {
-		return nil, err
-	}
-	return intCompare(op, l, r), nil
+	return intCompare(cmpOps[x.Op], fc.intOperand(x.L, sc), fc.intOperand(x.R, sc))
 }

@@ -22,8 +22,8 @@ type diffCase struct {
 	build  func(r *rand.Rand) []any
 }
 
-func randFloats(r *rand.Rand, dims ...int) *interp.Array {
-	a := interp.NewFloatArray(dims...)
+func randFloats(r *rand.Rand, dims ...int) *mcpl.Array {
+	a := mcpl.NewFloatArray(dims...)
 	for i := range a.F {
 		a.F[i] = r.Float64()*2 - 1
 	}
@@ -36,9 +36,9 @@ func randFloats(r *rand.Rand, dims ...int) *interp.Array {
 // and literal bounds, zero-trip loops, int variables widened into float
 // operands and leaves in a helper function's frame.
 func diffCases() []diffCase {
-	scene := func() *interp.Array { return apps.CornellScene() }
+	scene := func() *mcpl.Array { return apps.CornellScene() }
 	ints := func(n int) func(*rand.Rand) []any {
-		return func(*rand.Rand) []any { return []any{n, interp.NewIntArray(n)} }
+		return func(*rand.Rand) []any { return []any{n, mcpl.NewIntArray(n)} }
 	}
 	return []diffCase{
 		{
@@ -104,7 +104,7 @@ func diffCases() []diffCase {
     out[i] = x * i + 3;
   }
 }`,
-			build: func(r *rand.Rand) []any { return []any{5, randFloats(r, 5), interp.NewFloatArray(5)} },
+			build: func(r *rand.Rand) []any { return []any{5, randFloats(r, 5), mcpl.NewFloatArray(5)} },
 		},
 		{
 			name: "leaf/helper-frame", kernel: "k",
@@ -122,7 +122,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 }`,
 			build: func(r *rand.Rand) []any {
 				n, d := 6, 3
-				return []any{n, d, randFloats(r, n, d), randFloats(r, d), interp.NewFloatArray(n)}
+				return []any{n, d, randFloats(r, n, d), randFloats(r, d), mcpl.NewFloatArray(n)}
 			},
 		},
 		{
@@ -130,7 +130,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				n, m, p := 24, 40, 32
 				return []any{n, m, p,
-					interp.NewFloatArray(n, m), randFloats(r, n, p), randFloats(r, p, m)}
+					mcpl.NewFloatArray(n, m), randFloats(r, n, p), randFloats(r, p, m)}
 			},
 		},
 		{
@@ -138,7 +138,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				n, m, p := 32, 48, 32 // multiples of 16 for the tiled version
 				return []any{n, m, p,
-					interp.NewFloatArray(n, m), randFloats(r, n, p), randFloats(r, p, m)}
+					mcpl.NewFloatArray(n, m), randFloats(r, n, p), randFloats(r, p, m)}
 			},
 		},
 		{
@@ -146,7 +146,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				n, k, d := 150, 7, 4
 				return []any{n, k, d,
-					randFloats(r, n, d), randFloats(r, k, d), interp.NewIntArray(n)}
+					randFloats(r, n, d), randFloats(r, k, d), mcpl.NewIntArray(n)}
 			},
 		},
 		{
@@ -154,7 +154,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				n, k, d := 512, 256, 4 // n, k multiples of 256 for the tiled version
 				return []any{n, k, d,
-					randFloats(r, d, n), randFloats(r, k, d), interp.NewIntArray(n)}
+					randFloats(r, d, n), randFloats(r, k, d), mcpl.NewIntArray(n)}
 			},
 		},
 		{
@@ -162,7 +162,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				n, k, d := 64, 9, 4 // n multiple of 16 for the vectorized version
 				return []any{n, k, d,
-					randFloats(r, d, n), randFloats(r, k, d), interp.NewIntArray(n)}
+					randFloats(r, d, n), randFloats(r, k, d), mcpl.NewIntArray(n)}
 			},
 		},
 		{
@@ -170,7 +170,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				nloc, off, n := 48, 16, 96
 				return []any{nloc, off, n,
-					randFloats(r, n, 4), interp.NewFloatArray(nloc, 3)}
+					randFloats(r, n, 4), mcpl.NewFloatArray(nloc, 3)}
 			},
 		},
 		{
@@ -178,7 +178,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 			build: func(r *rand.Rand) []any {
 				nloc, off, n := 256, 0, 256 // multiples of 256 for the tiled version
 				return []any{nloc, off, n,
-					randFloats(r, n, 4), interp.NewFloatArray(nloc, 3)}
+					randFloats(r, n, 4), mcpl.NewFloatArray(nloc, 3)}
 			},
 		},
 		{
@@ -187,7 +187,7 @@ perfect void k(int n, int d, float[n, d] a, float[d] b, float[n] out) {
 				w, h, y0, rows, samples := 8, 8, 4, 4, 2
 				sc := scene()
 				return []any{w, h, y0, rows, samples, sc.Dims[0], 12345,
-					sc, interp.NewFloatArray(rows, w, 3)}
+					sc, mcpl.NewFloatArray(rows, w, 3)}
 			},
 		},
 	}
@@ -203,10 +203,11 @@ func TestDifferentialEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse: %v", err)
 			}
-			if _, err := mcpl.Check(prog); err != nil {
+			info, err := mcpl.Check(prog)
+			if err != nil {
 				t.Fatalf("check: %v", err)
 			}
-			k, err := closure.Compile(prog, tc.kernel)
+			k, err := closure.Compile(info, tc.kernel)
 			if err != nil {
 				t.Fatalf("closure compile: %v", err)
 			}
@@ -220,11 +221,11 @@ func TestDifferentialEngines(t *testing.T) {
 				t.Fatalf("closure run: %v", err)
 			}
 			for i := range ref {
-				ra, ok := ref[i].(*interp.Array)
+				ra, ok := ref[i].(*mcpl.Array)
 				if !ok {
 					continue
 				}
-				ga := got[i].(*interp.Array)
+				ga := got[i].(*mcpl.Array)
 				if err := compareArrays(ra, ga); err != nil {
 					t.Errorf("argument %d: %v", i, err)
 				}
@@ -233,7 +234,7 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-func compareArrays(ref, got *interp.Array) error {
+func compareArrays(ref, got *mcpl.Array) error {
 	if ref.Kind == mcpl.KindInt {
 		for i := range ref.I {
 			if ref.I[i] != got.I[i] {
@@ -258,10 +259,11 @@ func TestDifferentialRepeatedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mcpl.Check(prog); err != nil {
+	info, err := mcpl.Check(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	k, err := closure.Compile(prog, "matmul")
+	k, err := closure.Compile(info, "matmul")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +271,8 @@ func TestDifferentialRepeatedRuns(t *testing.T) {
 		r := rand.New(rand.NewSource(int64(round)))
 		n, m, p := 16, 16, 32
 		a, b := randFloats(r, n, p), randFloats(r, p, m)
-		cRef := interp.NewFloatArray(n, m)
-		cGot := interp.NewFloatArray(n, m)
+		cRef := mcpl.NewFloatArray(n, m)
+		cGot := mcpl.NewFloatArray(n, m)
 		if err := interp.Run(prog, "matmul", n, m, p, cRef, a, b); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package closure_test
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -53,26 +52,24 @@ func FuzzClosureMatchesInterp(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		if _, err := mcpl.Check(prog); err != nil {
+		info, err := mcpl.Check(prog)
+		if err != nil {
 			t.Skip()
 		}
-		k, err := closure.Compile(prog, "k")
-		if errors.Is(err, closure.ErrUnsupported) {
-			t.Skip()
-		}
+		k, err := closure.Compile(info, "k")
 		if err != nil {
 			t.Fatalf("compile: %v\n%s", err, src)
 		}
 		rows, cols := 1+int(n%5), 1+int(m%6)
 		args := func() []any {
-			a, v := interp.NewFloatArray(rows, cols), interp.NewFloatArray(cols)
+			a, v := mcpl.NewFloatArray(rows, cols), mcpl.NewFloatArray(cols)
 			for i := range a.F {
 				a.F[i] = float64(i%7) - 2.5
 			}
 			for i := range v.F {
 				v.F[i] = 0.5 * float64(i+1)
 			}
-			return []any{rows, cols, int(bound), a, v, interp.NewFloatArray(rows), interp.NewIntArray(rows)}
+			return []any{rows, cols, int(bound), a, v, mcpl.NewFloatArray(rows), mcpl.NewIntArray(rows)}
 		}
 		ref, got := args(), args()
 		ierr := interp.Run(prog, "k", ref...)
@@ -84,11 +81,11 @@ func FuzzClosureMatchesInterp(f *testing.F) {
 			return
 		}
 		for i := range ref {
-			ra, ok := ref[i].(*interp.Array)
+			ra, ok := ref[i].(*mcpl.Array)
 			if !ok {
 				continue
 			}
-			ga := got[i].(*interp.Array)
+			ga := got[i].(*mcpl.Array)
 			for j := range ra.I {
 				if ra.I[j] != ga.I[j] {
 					t.Fatalf("argument %d int element %d: interp %d, closure %d\n%s", i, j, ra.I[j], ga.I[j], src)
@@ -99,6 +96,33 @@ func FuzzClosureMatchesInterp(f *testing.F) {
 				if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
 					t.Fatalf("argument %d float element %d: interp %v, closure %v\n%s", i, j, x, y, src)
 				}
+			}
+		}
+	})
+}
+
+// FuzzCheckedProgramCompiles feeds MCPL source text through Parse, Check
+// and Compile of every kernel. Parse and Check must not panic, and every
+// program that checks must compile: Compile panics on a construct the
+// checker should have rejected. The seed corpus in
+// testdata/fuzz/FuzzCheckedProgramCompiles holds the app and example
+// kernels and the programs of the checker's rejection table.
+func FuzzCheckedProgramCompiles(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := mcpl.Parse(src)
+		if err != nil {
+			return
+		}
+		info, err := mcpl.Check(prog)
+		if err != nil {
+			return
+		}
+		for _, fn := range prog.Funcs {
+			if !fn.IsKernel() {
+				continue
+			}
+			if _, err := closure.Compile(info, fn.Name); err != nil {
+				t.Fatalf("compile %s: %v\n%s", fn.Name, err, src)
 			}
 		}
 	})

@@ -3,7 +3,6 @@ package closure
 import (
 	"math"
 
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 )
 
@@ -40,14 +39,14 @@ func (l *leaf) int(f *frame) int64 {
 
 // elem resolves an element leaf to its array and flat offset: an assignment
 // target.
-func (l *leaf) elem(f *frame) (*interp.Array, int) {
+func (l *leaf) elem(f *frame) (*mcpl.Array, int) {
 	a := f.a[l.slot]
 	return a, l.offset(f, a)
 }
 
 // offset computes the row-major offset of an element leaf in a, checking
 // each dimension in order like the generic path.
-func (l *leaf) offset(f *frame, a *interp.Array) (off int) {
+func (l *leaf) offset(f *frame, a *mcpl.Array) (off int) {
 	for d, s := range l.idx {
 		k, n := f.i[s], a.Dims[d]
 		if uint64(k) >= uint64(n) {
@@ -93,12 +92,8 @@ func (fc *fcomp) leafOf(e mcpl.Expr, kind mcpl.BasicKind, sc *cscope) *leaf {
 			return &leaf{slot: fc.cf.lay.floatConst(x.Value)}
 		}
 	case *mcpl.Ident:
-		sym, ok := sc.lookup(x.Name)
-		if !ok || sym.typ.IsArray() {
-			return nil
-		}
-		if sym.typ.Kind == kind {
-			return &leaf{slot: sym.ref.idx}
+		if ref := sc.lookup(x.Name); !ref.array && ref.kind == kind {
+			return &leaf{slot: ref.idx}
 		}
 	case *mcpl.Cast:
 		if x.To.Kind == kind {
@@ -106,8 +101,8 @@ func (fc *fcomp) leafOf(e mcpl.Expr, kind mcpl.BasicKind, sc *cscope) *leaf {
 		}
 	case *mcpl.Index:
 		id := x.Array.(*mcpl.Ident)
-		sym, ok := sc.lookup(id.Name)
-		if !ok || !sym.typ.IsArray() || sym.typ.Kind != kind || len(x.Args) != len(sym.typ.Dims) {
+		ref := sc.lookup(id.Name)
+		if ref.kind != kind {
 			return nil
 		}
 		idx := make([]int, len(x.Args))
@@ -118,7 +113,7 @@ func (fc *fcomp) leafOf(e mcpl.Expr, kind mcpl.BasicKind, sc *cscope) *leaf {
 			}
 			idx[i] = il.slot
 		}
-		return &leaf{slot: sym.ref.idx, idx: idx, pos: x.Pos, name: id.Name}
+		return &leaf{slot: ref.idx, idx: idx, pos: x.Pos, name: id.Name}
 	}
 	return nil
 }
@@ -135,7 +130,7 @@ func (fc *fcomp) leafPair(e mcpl.Expr, kind mcpl.BasicKind, sc *cscope) (op binO
 	} else {
 		op, ok = intOp(b.Op)
 	}
-	if t, err := fc.typeOf(e, sc); !ok || err != nil || t.Kind != kind {
+	if !ok || fc.typ(e).Kind != kind {
 		return 0, nil, nil, false
 	}
 	l, r = fc.leafOf(b.L, kind, sc), fc.leafOf(b.R, kind, sc)
@@ -149,20 +144,18 @@ type operand[T int64 | float64] struct {
 	fn   func(*frame) T
 }
 
-func (fc *fcomp) floatOperand(e mcpl.Expr, sc *cscope) (operand[float64], error) {
+func (fc *fcomp) floatOperand(e mcpl.Expr, sc *cscope) operand[float64] {
 	if l := fc.leafOf(e, mcpl.KindFloat, sc); l != nil {
-		return operand[float64]{leaf: l}, nil
+		return operand[float64]{leaf: l}
 	}
-	fn, err := fc.floatExpr(e, sc)
-	return operand[float64]{fn: fn}, err
+	return operand[float64]{fn: fc.floatExpr(e, sc)}
 }
 
-func (fc *fcomp) intOperand(e mcpl.Expr, sc *cscope) (operand[int64], error) {
+func (fc *fcomp) intOperand(e mcpl.Expr, sc *cscope) operand[int64] {
 	if l := fc.leafOf(e, mcpl.KindInt, sc); l != nil {
-		return operand[int64]{leaf: l}, nil
+		return operand[int64]{leaf: l}
 	}
-	fn, err := fc.intExpr(e, sc)
-	return operand[int64]{fn: fn}, err
+	return operand[int64]{fn: fc.intExpr(e, sc)}
 }
 
 // binOp is an arithmetic operator; opSet (plain assignment) yields its right

@@ -1,6 +1,10 @@
 // Package closure compiles type-checked MCPL programs into trees of
-// specialized Go closures and executes them — the fast engine behind
-// codegen.Compiled.Run.
+// specialized Go closures and executes them — the engine behind
+// codegen.Compiled.Run. In this reproduction it plays the role the OpenCL
+// compiler and a real device play for the paper's system: it gives every
+// kernel an executable semantics, so kernels can be verified against Go
+// reference implementations at small scale. (Paper-scale problem sizes are
+// charged to the device cost model instead; see internal/device.)
 //
 // Where the tree-walking interpreter (internal/mcl/interp) re-dispatches on
 // AST node types and resolves every variable through a map[string]*cell
@@ -30,10 +34,12 @@
 // counting barrier (OpenCL work-group semantics for local-memory tiling
 // kernels).
 //
-// The compiler covers the whole checked language except constructs whose
-// parallel semantics would be racy (assignment to a scalar declared outside
-// a barrier-synchronized foreach); Compile reports those with
-// ErrUnsupported and callers fall back to the interpreter.
+// The compiler covers the whole checked language. It types expressions
+// from the checker's info, and it relies on the checker's rule that no
+// statement in a barrier-synchronized foreach assigns a scalar declared
+// outside it, which the private frame copies need. The tree-walking
+// interpreter (internal/mcl/interp) is the test oracle this engine is
+// checked against; no production code runs it.
 package closure
 
 import (
@@ -41,7 +47,6 @@ import (
 	"math"
 	"sync"
 
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 )
 
@@ -69,7 +74,7 @@ type frame struct {
 	i []int64
 	f []float64
 	b []bool
-	a []*interp.Array
+	a []*mcpl.Array
 
 	// Return value of the function owning the frame, one slot per kind.
 	reti int64
@@ -109,7 +114,7 @@ func newLayout() *layout {
 			i: make([]int64, l.nI),
 			f: make([]float64, l.nF),
 			b: make([]bool, l.nB),
-			a: make([]*interp.Array, l.nA),
+			a: make([]*mcpl.Array, l.nA),
 		}
 		for v, s := range l.ilits {
 			fr.i[s] = v
@@ -268,7 +273,6 @@ func (b *barrier) abort() {
 
 // Kernel is a compiled kernel entry point, safe for concurrent Run.
 type Kernel struct {
-	prog  *mcpl.Program
 	fn    *mcpl.Func
 	entry *cfunc
 }
@@ -276,10 +280,10 @@ type Kernel struct {
 // Name reports the kernel name.
 func (k *Kernel) Name() string { return k.fn.Name }
 
-// Run executes the compiled kernel with the given arguments, with the same
-// calling convention as interp.Run: scalars as int64/float64/bool, arrays as
-// *interp.Array passed by reference, dimensions checked against the
-// signature's dimension expressions.
+// Run executes the compiled kernel with the given arguments, in the
+// calling convention of mcpl.CoerceArg: scalars as int64/float64/bool,
+// arrays as *mcpl.Array passed by reference, dimensions checked against
+// the signature's dimension expressions.
 func (k *Kernel) Run(args ...any) (err error) {
 	cf := k.entry
 	if len(args) != len(cf.fn.Params) {
@@ -291,9 +295,9 @@ func (k *Kernel) Run(args ...any) (err error) {
 	defer cf.lay.put(fr)
 	defer catch(&err) // before put: a leafFault reads the frame
 	for idx, prm := range cf.fn.Params {
-		v, err := interp.CoerceArg(prm, args[idx])
+		v, err := mcpl.CoerceArg(prm, args[idx])
 		if err != nil {
-			return err
+			return fmt.Errorf("closure: %w", err)
 		}
 		storeArg(fr, cf.params[idx], v)
 	}
@@ -321,7 +325,7 @@ func (k *Kernel) Run(args ...any) (err error) {
 
 func storeArg(fr *frame, ref slotRef, v any) {
 	if ref.array {
-		fr.a[ref.idx] = v.(*interp.Array)
+		fr.a[ref.idx] = v.(*mcpl.Array)
 		return
 	}
 	switch ref.kind {

@@ -1,6 +1,6 @@
 // Package codegen turns checked MCPL kernels into everything Cashmere needs
-// at run time: OpenCL-style source text, an executable form (backed by the
-// interpreter), glue configuration (work-group/work-item shapes, Sec. III-A),
+// at run time: OpenCL-style source text, an executable form (the closure
+// engine), glue configuration (work-group/work-item shapes, Sec. III-A),
 // and — central to this reproduction — a cost descriptor derived from static
 // analysis.
 //

@@ -4,11 +4,12 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"cashmere/internal/device"
+	"cashmere/internal/mcl/closure"
 	"cashmere/internal/mcl/hdl"
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 )
 
@@ -282,13 +283,13 @@ func TestCompiledRunMatchesReference(t *testing.T) {
 	}
 	const n = 32 // multiple of 16 for the tiled version
 	rng := rand.New(rand.NewSource(5))
-	a := interp.NewFloatArray(n, n)
-	b := interp.NewFloatArray(n, n)
+	a := mcpl.NewFloatArray(n, n)
+	b := mcpl.NewFloatArray(n, n)
 	for i := range a.F {
 		a.F[i] = rng.Float64()
 		b.F[i] = rng.Float64()
 	}
-	out := interp.NewFloatArray(n, n)
+	out := mcpl.NewFloatArray(n, n)
 	if err := c.Run(int64(n), int64(n), int64(n), out, a, b); err != nil {
 		t.Fatal(err)
 	}
@@ -408,65 +409,59 @@ func TestKernelSetErrors(t *testing.T) {
 	}
 }
 
-// TestCompiledRunUsesClosureEngine checks that Compile wires in the
-// closure-compiled fast engine for supported kernels and memoizes it per
-// (program, kernel).
+// TestCompiledRunUsesClosureEngine checks that every Compiled of one
+// kernel-set version shares the version's closure engine: repeated
+// CompileAt calls for the same level, and leaves that select that level.
 func TestCompiledRunUsesClosureEngine(t *testing.T) {
 	h := hdl.Library()
-	ks, _ := NewKernelSet("matmul", matmulPerfect)
-	c1, err := ks.Compile("gtx480", h)
+	ks, err := NewKernelSet("matmul", matmulPerfect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.engine == nil {
-		t.Fatal("supported kernel did not get a closure engine")
+	var engines []*closure.Kernel
+	for _, leaf := range []string{"gtx480", "gtx480", "xeon_phi"} {
+		c, err := ks.CompileAt("perfect", leaf, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, c.engine)
 	}
-	c2, err := ks.Compile("xeon_phi", h)
-	if err != nil {
-		t.Fatal(err)
+	if engines[0] == nil {
+		t.Fatal("no closure engine")
 	}
-	if c2.engine != c1.engine {
-		t.Fatal("engine not memoized across Compile calls on the same program")
+	for i, e := range engines {
+		if e != engines[0] {
+			t.Fatalf("CompileAt %d built a second engine", i)
+		}
 	}
 }
 
-// TestCompiledRunFallsBackToInterp checks that a kernel the closure
-// compiler cannot lower (a reduction into an outer scalar across a
-// barrier-synchronized foreach) still executes — through the interpreter.
-func TestCompiledRunFallsBackToInterp(t *testing.T) {
-	const src = `
-perfect void colsum(int n, float[n] xs, float[1] out) {
-  float acc = 0.0;
-  foreach (int i in 1 threads) {
-    for (int j = 0; j < n; j++) {
-      acc += xs[j];
-    }
-    barrier();
-  }
-  out[0] = acc;
-}
-`
+// TestCompileAtBuildsEngineOnce checks that concurrent CompileAt calls on a
+// fresh kernel set build the version's engine once and all share it.
+func TestCompileAtBuildsEngineOnce(t *testing.T) {
 	h := hdl.Library()
-	ks, err := NewKernelSet("colsum", src)
+	ks, err := NewKernelSet("matmul", matmulPerfect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := ks.Compile("gtx480", h)
-	if err != nil {
-		t.Fatal(err)
+	engines := make([]*closure.Kernel, 8)
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c, err := ks.CompileAt("perfect", "gtx480", h)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			engines[i] = c.engine
+		}(i)
 	}
-	if c.engine != nil {
-		t.Fatal("unsupported kernel unexpectedly got a closure engine")
-	}
-	xs := interp.NewFloatArray(4)
-	for i := range xs.F {
-		xs.F[i] = float64(i + 1)
-	}
-	out := interp.NewFloatArray(1)
-	if err := c.Run(int64(4), xs, out); err != nil {
-		t.Fatalf("fallback run: %v", err)
-	}
-	if out.F[0] != 10 {
-		t.Fatalf("fallback result = %v, want 10", out.F[0])
+	wg.Wait()
+	for i, e := range engines {
+		if e == nil || e != engines[0] {
+			t.Fatalf("concurrent CompileAt %d got engine %p, want the shared %p", i, e, engines[0])
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"cashmere/internal/device"
 	"cashmere/internal/mcl/closure"
 	"cashmere/internal/mcl/hdl"
-	"cashmere/internal/mcl/interp"
 	"cashmere/internal/mcl/mcpl"
 	"cashmere/internal/mcl/translate"
 )
@@ -23,13 +22,17 @@ type KernelSet struct {
 
 	sources map[string]string     // level -> source text, for Fingerprint
 	infos   map[string]*mcpl.Info // level -> checker result, shared by every Compiled
+	// level -> the version's closure engine, built by the first CompileAt
+	// that selects the level: a leaf that never selects it never pays.
+	engines map[string]func() (*closure.Kernel, error)
 }
 
 // NewKernelSet parses and checks each source file and indexes the versions
 // of the named kernel by their declared level. Each version is checked here
 // once; compiled forms reuse the result for every cost analysis.
 func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
-	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Program{}, sources: map[string]string{}, infos: map[string]*mcpl.Info{}}
+	ks := &KernelSet{Name: name, Versions: map[string]*mcpl.Program{}, sources: map[string]string{},
+		infos: map[string]*mcpl.Info{}, engines: map[string]func() (*closure.Kernel, error){}}
 	for i, src := range sources {
 		prog, err := mcpl.Parse(src)
 		if err != nil {
@@ -49,6 +52,7 @@ func NewKernelSet(name string, sources ...string) (*KernelSet, error) {
 		ks.Versions[k.Level] = prog
 		ks.sources[k.Level] = src
 		ks.infos[k.Level] = info
+		ks.engines[k.Level] = sync.OnceValues(func() (*closure.Kernel, error) { return closure.Compile(info, name) })
 	}
 	if len(ks.Versions) == 0 {
 		return nil, fmt.Errorf("codegen: kernel %s has no versions", name)
@@ -106,41 +110,15 @@ type Compiled struct {
 	Distance    int    // hierarchy distance from SourceLevel to Leaf
 	OpenCL      string // generated device code (translated to the leaf)
 
-	src        *mcpl.Program // the selected version, used for execution/analysis
+	src        *mcpl.Program // the selected version: launch nest and parameters
 	info       *mcpl.Info    // src's checker result, from the kernel set
 	translated *mcpl.Program
 	spec       *device.Spec
-	engine     *closure.Kernel // closure-compiled fast engine; nil -> interp
+	engine     *closure.Kernel // the version's executable form, shared by the kernel set
 
 	extents  []int64 // tuned per-dimension work-group extents (flat nests only)
 	geomCost bool    // fold the launch geometry into Cost
 	maxWG    int64   // leaf work-group size limit (0 = unlimited)
-}
-
-// engineKey identifies one (program, kernel) pair in the closure engine
-// cache. Programs are compared by pointer: a KernelSet parses each source
-// once, so every Compiled selecting the same version shares the program.
-type engineKey struct {
-	prog *mcpl.Program
-	name string
-}
-
-// engineCache memoizes closure compilation per (program, kernel), including
-// negative results (a nil *closure.Kernel means "fall back to interp"), so
-// repeated Compile calls and repeated launches never redo engine setup.
-var engineCache sync.Map // engineKey -> *closure.Kernel
-
-func engineFor(prog *mcpl.Program, name string) *closure.Kernel {
-	key := engineKey{prog, name}
-	if v, ok := engineCache.Load(key); ok {
-		return v.(*closure.Kernel)
-	}
-	k, err := closure.Compile(prog, name)
-	if err != nil {
-		k = nil
-	}
-	v, _ := engineCache.LoadOrStore(key, k)
-	return v.(*closure.Kernel)
 }
 
 // Compile selects the most specific applicable version for the leaf,
@@ -184,6 +162,10 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 	if err != nil {
 		return nil, err
 	}
+	engine, err := ks.engines[level]()
+	if err != nil {
+		return nil, err
+	}
 	spec, err := device.Lookup(leaf)
 	if err != nil {
 		// Leaves without a device model (none today) still compile; cost
@@ -200,7 +182,7 @@ func (ks *KernelSet) CompileAt(level, leaf string, h *hdl.Hierarchy) (*Compiled,
 		info:        ks.infos[level],
 		translated:  tr,
 		spec:        spec,
-		engine:      engineFor(src, ks.Name),
+		engine:      engine,
 		maxWG:       leafWorkgroupLimit(lv),
 	}, nil
 }
@@ -309,15 +291,9 @@ func (c *Compiled) EnableGeometryCost() { c.geomCost = true }
 // GeometryCost reports whether Cost folds in the launch geometry.
 func (c *Compiled) GeometryCost() bool { return c.geomCost }
 
-// Run executes the kernel on the host at verification scale. The
-// closure-compiled engine (internal/mcl/closure) is the default; kernels it
-// cannot lower run through the reference tree-walking interpreter.
-func (c *Compiled) Run(args ...any) error {
-	if c.engine != nil {
-		return c.engine.Run(args...)
-	}
-	return interp.Run(c.src, c.Name, args...)
-}
+// Run executes the kernel on the host at verification scale, through the
+// closure engine (internal/mcl/closure).
+func (c *Compiled) Run(args ...any) error { return c.engine.Run(args...) }
 
 // Analyze runs the cost analysis for a launch with the given scalar
 // parameters, reusing the kernel set's type check.

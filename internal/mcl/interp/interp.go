@@ -1,10 +1,11 @@
 // Package interp executes MCPL kernels with a tree-walking interpreter.
 //
-// In this reproduction the interpreter plays the role the OpenCL compiler +
-// real device plays for the paper's system: it gives every MCPL kernel an
-// executable semantics, so kernels can be verified against Go reference
-// implementations at small scale. (Paper-scale problem sizes are charged to
-// the device cost model instead; see internal/device.)
+// It is the test oracle of the closure engine (internal/mcl/closure), which
+// executes every kernel the program runs: the differential tests and the
+// fuzz targets require both engines to agree. Only tests import it; a lint
+// step in the Makefile keeps it that way. It evaluates the AST directly,
+// with every variable in a shared cell, so its semantics are easy to read
+// off the code.
 //
 // foreach statements are semantically parallel. Bodies without barriers are
 // run sequentially; a foreach whose body contains a barrier (directly, not
@@ -20,81 +21,6 @@ import (
 
 	"cashmere/internal/mcl/mcpl"
 )
-
-// Array is an MCPL array value. Float arrays use F, int arrays use I.
-// Data is flattened row-major.
-type Array struct {
-	Kind mcpl.BasicKind
-	Dims []int
-	F    []float64
-	I    []int64
-}
-
-// NewFloatArray allocates a float array with the given dimensions.
-func NewFloatArray(dims ...int) *Array {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	return &Array{Kind: mcpl.KindFloat, Dims: dims, F: make([]float64, n)}
-}
-
-// NewIntArray allocates an int array with the given dimensions.
-func NewIntArray(dims ...int) *Array {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	return &Array{Kind: mcpl.KindInt, Dims: dims, I: make([]int64, n)}
-}
-
-// Len reports the number of elements.
-func (a *Array) Len() int {
-	n := 1
-	for _, d := range a.Dims {
-		n *= d
-	}
-	return n
-}
-
-// At returns the element at the given indices (for tests).
-func (a *Array) At(idx ...int) float64 {
-	off, err := a.offset(idx)
-	if err != nil {
-		panic(err)
-	}
-	if a.Kind == mcpl.KindFloat {
-		return a.F[off]
-	}
-	return float64(a.I[off])
-}
-
-// Set stores v at the given indices (for tests).
-func (a *Array) Set(v float64, idx ...int) {
-	off, err := a.offset(idx)
-	if err != nil {
-		panic(err)
-	}
-	if a.Kind == mcpl.KindFloat {
-		a.F[off] = v
-	} else {
-		a.I[off] = int64(v)
-	}
-}
-
-func (a *Array) offset(idx []int) (int, error) {
-	if len(idx) != len(a.Dims) {
-		return 0, fmt.Errorf("interp: rank mismatch: %d subscripts for rank %d", len(idx), len(a.Dims))
-	}
-	off := 0
-	for i, x := range idx {
-		if x < 0 || x >= a.Dims[i] {
-			return 0, fmt.Errorf("interp: index %d out of range [0,%d) in dimension %d", x, a.Dims[i], i)
-		}
-		off = off*a.Dims[i] + x
-	}
-	return off, nil
-}
 
 // cell is a mutable variable slot shared between scopes.
 type cell struct{ v any }
@@ -118,7 +44,7 @@ func (e *env) lookup(name string) *cell {
 func (e *env) define(name string, v any) { e.vars[name] = &cell{v: v} }
 
 // Run executes the named kernel with the given arguments. Scalar arguments
-// are int64 or float64 (bools as bool); arrays are *Array, passed by
+// are int64 or float64 (bools as bool); arrays are *mcpl.Array, passed by
 // reference. Array dimensions are checked against the dimension expressions
 // in the kernel signature.
 func Run(prog *mcpl.Program, kernel string, args ...any) error {
@@ -155,9 +81,9 @@ func (m *machine) call(f *mcpl.Func, args []any) (any, error) {
 	}
 	e := newEnv(nil)
 	for i, prm := range f.Params {
-		v, err := CoerceArg(prm, args[i])
+		v, err := mcpl.CoerceArg(prm, args[i])
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("interp: %w", err)
 		}
 		e.define(prm.Name, v)
 	}
@@ -166,7 +92,7 @@ func (m *machine) call(f *mcpl.Func, args []any) (any, error) {
 		if !prm.Type.IsArray() {
 			continue
 		}
-		arr := args[i].(*Array)
+		arr := args[i].(*mcpl.Array)
 		if len(arr.Dims) != len(prm.Type.Dims) {
 			return nil, fmt.Errorf("interp: argument %s has rank %d, want %d", prm.Name, len(arr.Dims), len(prm.Type.Dims))
 		}
@@ -189,47 +115,6 @@ func (m *machine) call(f *mcpl.Func, args []any) (any, error) {
 		return ret.v, nil
 	}
 	return nil, nil
-}
-
-// CoerceArg converts a caller-supplied argument to the parameter's runtime
-// representation (int64/float64/bool scalars, *Array by reference), widening
-// Go ints for convenience. It is shared with the closure-compilation engine
-// (internal/mcl/closure) so both engines accept identical calling
-// conventions.
-func CoerceArg(prm mcpl.Param, a any) (any, error) {
-	if prm.Type.IsArray() {
-		arr, ok := a.(*Array)
-		if !ok {
-			return nil, fmt.Errorf("interp: argument %s must be *Array, got %T", prm.Name, a)
-		}
-		if arr.Kind != prm.Type.Kind {
-			return nil, fmt.Errorf("interp: argument %s element kind mismatch", prm.Name)
-		}
-		return arr, nil
-	}
-	switch prm.Type.Kind {
-	case mcpl.KindInt:
-		switch v := a.(type) {
-		case int64:
-			return v, nil
-		case int:
-			return int64(v), nil
-		}
-	case mcpl.KindFloat:
-		switch v := a.(type) {
-		case float64:
-			return v, nil
-		case int64:
-			return float64(v), nil
-		case int:
-			return float64(v), nil
-		}
-	case mcpl.KindBool:
-		if v, ok := a.(bool); ok {
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("interp: argument %s: cannot use %T as %s", prm.Name, a, prm.Type)
 }
 
 // retval marks a return in flight.
@@ -346,70 +231,22 @@ func (m *machine) exec(s mcpl.Stmt, e *env) (*retval, bool, error) {
 	}
 }
 
-// hasDirectBarrier reports whether the block contains a barrier not nested
-// inside another foreach.
-func hasDirectBarrier(b *mcpl.Block) bool {
-	var scan func(ss []mcpl.Stmt) bool
-	scan = func(ss []mcpl.Stmt) bool {
-		for _, s := range ss {
-			switch st := s.(type) {
-			case *mcpl.Barrier:
-				return true
-			case *mcpl.Block:
-				if scan(st.Stmts) {
-					return true
-				}
-			case *mcpl.If:
-				if scan(st.Then.Stmts) {
-					return true
-				}
-				if st.Else != nil && scan([]mcpl.Stmt{st.Else}) {
-					return true
-				}
-			case *mcpl.For:
-				if scan(st.Body.Stmts) {
-					return true
-				}
-			case *mcpl.While:
-				if scan(st.Body.Stmts) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return scan(b.Stmts)
-}
-
 func (m *machine) execForeach(st *mcpl.Foreach, e *env) error {
-	// Collect the maximal chain of directly nested single-statement foreach
-	// loops: `foreach (i ...) { foreach (j ...) { body } }` forms one
-	// combined iteration domain. This matters for barriers, which in OpenCL
-	// synchronize the whole work-group (all thread dimensions), not one
-	// dimension at a time.
-	vars := []string{st.Var}
-	bounds := []int64{}
-	body := st.Body
-	cur := st
-	for {
-		b, err := m.evalInt(cur.Bound, e)
+	// A chain of directly nested single-statement foreach loops forms one
+	// combined iteration domain (see mcpl.Foreach.Chain).
+	chain, body, parallel := st.Chain()
+	var vars []string
+	var bounds []int64
+	for _, fe := range chain {
+		b, err := m.evalInt(fe.Bound, e)
 		if err != nil {
 			return err
 		}
 		if b < 0 {
-			return fmt.Errorf("%v: negative foreach bound %d", cur.Pos, b)
+			return fmt.Errorf("%v: negative foreach bound %d", fe.Pos, b)
 		}
+		vars = append(vars, fe.Var)
 		bounds = append(bounds, b)
-		if len(cur.Body.Stmts) == 1 {
-			if next, ok := cur.Body.Stmts[0].(*mcpl.Foreach); ok {
-				vars = append(vars, next.Var)
-				cur = next
-				body = next.Body
-				continue
-			}
-		}
-		body = cur.Body
-		break
 	}
 	total := int64(1)
 	for _, b := range bounds {
@@ -427,7 +264,7 @@ func (m *machine) execForeach(st *mcpl.Foreach, e *env) error {
 		return idx
 	}
 
-	if !hasDirectBarrier(body) {
+	if !parallel {
 		for i := int64(0); i < total; i++ {
 			inner := newEnv(e)
 			for d, v := range indices(i) {
@@ -485,7 +322,7 @@ func (m *machine) execParallelBody(b *mcpl.Block, e *env, bar *reusableBarrier) 
 }
 
 // parallelMachine overrides barrier execution. Statement dispatch is copied
-// minimally: barriers can only appear at positions hasDirectBarrier scans
+// minimally: barriers can only appear at positions mcpl.Foreach.Chain scans
 // (blocks, if, for, while), so those forms route through parallel exec and
 // all remaining forms defer to the base machine.
 type parallelMachine struct {
@@ -631,11 +468,11 @@ func (m *machine) execVarDecl(d *mcpl.VarDecl, e *env) error {
 			}
 			dims[i] = int(n)
 		}
-		var arr *Array
+		var arr *mcpl.Array
 		if d.Type.Kind == mcpl.KindFloat {
-			arr = NewFloatArray(dims...)
+			arr = mcpl.NewFloatArray(dims...)
 		} else {
-			arr = NewIntArray(dims...)
+			arr = mcpl.NewIntArray(dims...)
 		}
 		e.define(d.Name, arr)
 		return nil
@@ -745,13 +582,13 @@ func (m *machine) execIncDec(s *mcpl.IncDec, e *env) error {
 	}, e)
 }
 
-func (m *machine) index(x *mcpl.Index, e *env) (*Array, int, error) {
+func (m *machine) index(x *mcpl.Index, e *env) (*mcpl.Array, int, error) {
 	id := x.Array.(*mcpl.Ident)
 	c := e.lookup(id.Name)
 	if c == nil {
 		return nil, 0, fmt.Errorf("%v: undefined array %s", x.Pos, id.Name)
 	}
-	arr, ok := c.v.(*Array)
+	arr, ok := c.v.(*mcpl.Array)
 	if !ok {
 		return nil, 0, fmt.Errorf("%v: %s is not an array", x.Pos, id.Name)
 	}
@@ -763,7 +600,7 @@ func (m *machine) index(x *mcpl.Index, e *env) (*Array, int, error) {
 		}
 		idx[i] = int(v)
 	}
-	off, err := arr.offset(idx)
+	off, err := arr.Offset(idx)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%v: %s: %w", x.Pos, id.Name, err)
 	}

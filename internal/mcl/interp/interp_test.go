@@ -40,9 +40,9 @@ perfect void matmul(int n, int m, int p,
 func TestMatmulAgainstReference(t *testing.T) {
 	prog := checked(t, matmulSrc)
 	const n, m, p = 7, 5, 9
-	a := NewFloatArray(n, p)
-	b := NewFloatArray(p, m)
-	c := NewFloatArray(n, m)
+	a := mcpl.NewFloatArray(n, p)
+	b := mcpl.NewFloatArray(p, m)
+	c := mcpl.NewFloatArray(n, m)
 	rng := rand.New(rand.NewSource(11))
 	for i := range a.F {
 		a.F[i] = rng.Float64()
@@ -72,15 +72,15 @@ func TestMatmulIdentityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const n = 6
 		rng := rand.New(rand.NewSource(seed))
-		a := NewFloatArray(n, n)
+		a := mcpl.NewFloatArray(n, n)
 		for i := range a.F {
 			a.F[i] = rng.Float64()
 		}
-		b := NewFloatArray(n, n)
+		b := mcpl.NewFloatArray(n, n)
 		for i := 0; i < n; i++ {
 			b.Set(1, i, i)
 		}
-		c := NewFloatArray(n, n)
+		c := mcpl.NewFloatArray(n, n)
 		if err := Run(prog, "matmul", int64(n), int64(n), int64(n), c, a, b); err != nil {
 			return false
 		}
@@ -184,7 +184,7 @@ perfect void k(int n, float[n] a) {
   foreach (int i in n threads) { a[i + 1] = 0.0; }
 }
 `)
-	a := NewFloatArray(4)
+	a := mcpl.NewFloatArray(4)
 	err := Run(outOfRange, "k", int64(4), a)
 	if err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v", err)
@@ -198,7 +198,7 @@ perfect void k(int n, float[n] a) {
 	prog := checked(t, matmulSrc)
 	// Dimension mismatch: c is 3x3 but n,m say 4,4.
 	err = Run(prog, "matmul", int64(4), int64(4), int64(3),
-		NewFloatArray(3, 3), NewFloatArray(4, 3), NewFloatArray(3, 4))
+		mcpl.NewFloatArray(3, 3), mcpl.NewFloatArray(4, 3), mcpl.NewFloatArray(3, 4))
 	if err == nil || !strings.Contains(err.Error(), "dimension") {
 		t.Fatalf("dim mismatch err = %v", err)
 	}
@@ -228,7 +228,7 @@ gpu void rev(int nb, int ts, float[nb,ts] a) {
 }
 `)
 	const nb, ts = 4, 32
-	a := NewFloatArray(nb, ts)
+	a := mcpl.NewFloatArray(nb, ts)
 	for b := 0; b < nb; b++ {
 		for t0 := 0; t0 < ts; t0++ {
 			a.Set(float64(b*100+t0), b, t0)
@@ -268,13 +268,13 @@ gpu void reduce(int ts, float[ts] a, float[1] out) {
 }
 `)
 	const ts = 64
-	a := NewFloatArray(ts)
+	a := mcpl.NewFloatArray(ts)
 	want := 0.0
 	for i := 0; i < ts; i++ {
 		a.F[i] = float64(i)
 		want += float64(i)
 	}
-	out := NewFloatArray(1)
+	out := mcpl.NewFloatArray(1)
 	if err := Run(prog, "reduce", int64(ts), a, out); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ gpu void bad(int ts, float[ts] a) {
   }
 }
 `)
-	err := Run(prog, "bad", int64(8), NewFloatArray(8))
+	err := Run(prog, "bad", int64(8), mcpl.NewFloatArray(8))
 	if err == nil {
 		t.Fatal("faulting thread not reported")
 	}
@@ -310,7 +310,7 @@ perfect void iota(int n, int[n] a) {
   foreach (int i in n threads) { a[i] = i * i; }
 }
 `)
-	a := NewIntArray(10)
+	a := mcpl.NewIntArray(10)
 	if err := Run(prog, "iota", int64(10), a); err != nil {
 		t.Fatal(err)
 	}
@@ -366,22 +366,6 @@ int g(int a, int b) { return min(a, b) + max(a, b) + abs(a - b); }
 	}
 }
 
-func TestArrayHelpers(t *testing.T) {
-	a := NewFloatArray(3, 4)
-	if a.Len() != 12 {
-		t.Fatalf("Len = %d", a.Len())
-	}
-	a.Set(5, 2, 3)
-	if a.At(2, 3) != 5 {
-		t.Fatalf("At = %v", a.At(2, 3))
-	}
-	i := NewIntArray(2)
-	i.Set(7, 1)
-	if i.At(1) != 7 {
-		t.Fatalf("int At = %v", i.At(1))
-	}
-}
-
 func TestLocalArrayZeroInitialized(t *testing.T) {
 	prog := checked(t, `
 perfect void k(int n, float[n] out) {
@@ -391,7 +375,7 @@ perfect void k(int n, float[n] out) {
   }
 }
 `)
-	out := NewFloatArray(3)
+	out := mcpl.NewFloatArray(3)
 	out.F[0] = 99
 	if err := Run(prog, "k", int64(3), out); err != nil {
 		t.Fatal(err)

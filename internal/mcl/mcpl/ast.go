@@ -239,6 +239,50 @@ type Foreach struct {
 	Pos   Pos
 }
 
+// Chain returns the maximal chain of directly nested single-statement
+// foreach loops that starts at fe (fe first), the body of the innermost
+// loop, and whether that body contains a barrier outside any nested
+// foreach. The chain is one combined iteration domain: a barrier
+// synchronizes the whole OpenCL work-group, all dimensions at once.
+func (fe *Foreach) Chain() (chain []*Foreach, body *Block, barrier bool) {
+	for cur := fe; ; {
+		chain = append(chain, cur)
+		if len(cur.Body.Stmts) == 1 {
+			if next, ok := cur.Body.Stmts[0].(*Foreach); ok {
+				cur = next
+				continue
+			}
+		}
+		return chain, cur.Body, hasDirectBarrier(cur.Body.Stmts)
+	}
+}
+
+func hasDirectBarrier(ss []Stmt) bool {
+	for _, s := range ss {
+		switch st := s.(type) {
+		case *Barrier:
+			return true
+		case *Block:
+			if hasDirectBarrier(st.Stmts) {
+				return true
+			}
+		case *If:
+			if hasDirectBarrier(st.Then.Stmts) || (st.Else != nil && hasDirectBarrier([]Stmt{st.Else})) {
+				return true
+			}
+		case *For:
+			if hasDirectBarrier(st.Body.Stmts) {
+				return true
+			}
+		case *While:
+			if hasDirectBarrier(st.Body.Stmts) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Return returns from a function; Value is nil for void returns.
 type Return struct {
 	Value Expr

@@ -32,8 +32,8 @@ var Builtins = map[string]Builtin{
 }
 
 // Info is the result of type checking: expression types and the function
-// table, consumed by the interpreter, translator, analyzer and code
-// generator.
+// table, consumed by the closure engine, interpreter, translator, analyzer
+// and code generator.
 type Info struct {
 	Types map[Expr]Type
 	Prog  *Program
@@ -72,9 +72,13 @@ type symbol struct {
 	isParam bool
 }
 
+// scope is one level of the scope chain. parallel marks the scope of a
+// barrier-synchronized foreach's loop variables, the boundary of work-item
+// private state.
 type scope struct {
-	parent *scope
-	vars   map[string]*symbol
+	parent   *scope
+	vars     map[string]*symbol
+	parallel bool
 }
 
 func (s *scope) lookup(name string) *symbol {
@@ -105,6 +109,9 @@ func (c *checker) checkFunc(f *Func) error {
 		if _, dup := sc.vars[prm.Name]; dup {
 			return fmt.Errorf("%v: parameter %s redeclared", prm.Pos, prm.Name)
 		}
+		if err := arrayKind(prm.Pos, prm.Type); err != nil {
+			return err
+		}
 		// Array dimensions must be int expressions over earlier parameters.
 		for _, d := range prm.Type.Dims {
 			t, err := c.expr(d, sc)
@@ -119,6 +126,9 @@ func (c *checker) checkFunc(f *Func) error {
 	}
 	if f.IsKernel() && f.Return.Kind != KindVoid {
 		return fmt.Errorf("%v: kernel %s must return void", f.Pos, f.Name)
+	}
+	if f.Return.IsArray() {
+		return fmt.Errorf("%v: function %s cannot return an array", f.Pos, f.Name)
 	}
 	// The body shares the parameter scope (C semantics: a top-level local
 	// cannot shadow a parameter).
@@ -220,7 +230,8 @@ func (c *checker) stmt(s Stmt, sc *scope) error {
 		if err := c.intExpr(st.Bound, sc); err != nil {
 			return err
 		}
-		inner := &scope{parent: sc, vars: map[string]*symbol{}}
+		_, _, barrier := st.Chain()
+		inner := &scope{parent: sc, vars: map[string]*symbol{}, parallel: barrier}
 		inner.vars[st.Var] = &symbol{typ: Type{Kind: KindInt}, loopVar: true}
 		c.foreachDepth++
 		err := c.block(st.Body, inner)
@@ -264,6 +275,9 @@ func (c *checker) varDecl(d *VarDecl, sc *scope) error {
 			return err
 		}
 	}
+	if err := arrayKind(d.Pos, d.Type); err != nil {
+		return err
+	}
 	if d.Init != nil {
 		if d.Type.IsArray() {
 			return fmt.Errorf("%v: array variable %s cannot have an initializer", d.Pos, d.Name)
@@ -298,22 +312,40 @@ func (c *checker) assign(a *Assign, sc *scope) error {
 	if a.Op != "=" && (lt.Kind == KindBool || rt.Kind == KindBool) {
 		return fmt.Errorf("%v: %s requires numeric operands", a.Pos, a.Op)
 	}
+	if a.Op == "%=" && (lt.Kind != KindInt || rt.Kind != KindInt) {
+		return fmt.Errorf("%v: operator %%= requires int operands", a.Pos)
+	}
 	if !assignable(lt, rt) {
 		return fmt.Errorf("%v: cannot assign %s to %s", a.Pos, rt, lt)
 	}
 	return nil
 }
 
-// lvalue checks an assignment target and rejects loop variables.
+// lvalue checks an assignment target. It rejects loop variables, and
+// scalars declared outside the barrier-synchronized foreach the assignment
+// is in: as in OpenCL, each work-item of such a loop has private scalars
+// and shares only arrays with the others, so a write to an outer scalar
+// could reach no other work-item and no code after the loop.
 func (c *checker) lvalue(e Expr, sc *scope) (Type, error) {
 	switch x := e.(type) {
 	case *Ident:
-		sym := sc.lookup(x.Name)
+		var sym *symbol
+		outside := false
+		for s := sc; s != nil && sym == nil; s = s.parent {
+			if sym = s.vars[x.Name]; sym == nil && s.parallel {
+				outside = true
+			}
+		}
 		if sym == nil {
 			return Type{}, fmt.Errorf("%v: undefined variable %s", x.Pos, x.Name)
 		}
 		if sym.loopVar {
 			return Type{}, fmt.Errorf("%v: cannot assign to foreach variable %s", x.Pos, x.Name)
+		}
+		if outside && !sym.typ.IsArray() {
+			return Type{}, fmt.Errorf("%v: cannot assign to %s inside a foreach with a barrier: "+
+				"%s is declared outside the loop and work-items share no scalars "+
+				"(declare it inside the loop or use a local array)", x.Pos, x.Name, x.Name)
 		}
 		c.info.Types[e] = sym.typ
 		return sym.typ, nil
@@ -380,8 +412,8 @@ func (c *checker) exprInner(e Expr, sc *scope) (Type, error) {
 		}
 		switch x.Op {
 		case "-":
-			if t.Kind == KindBool {
-				return Type{}, fmt.Errorf("%v: unary - on boolean", x.Pos)
+			if t.Kind == KindBool || t.Kind == KindVoid {
+				return Type{}, fmt.Errorf("%v: unary - on %s", x.Pos, t)
 			}
 			return t, nil
 		case "!":
@@ -403,6 +435,9 @@ func (c *checker) exprInner(e Expr, sc *scope) (Type, error) {
 		}
 		if t.IsArray() || x.To.IsArray() {
 			return Type{}, fmt.Errorf("%v: cannot cast arrays", x.Pos)
+		}
+		if t.Kind == KindBool || t.Kind == KindVoid {
+			return Type{}, fmt.Errorf("%v: cannot cast %s to %s", x.Pos, t, x.To)
 		}
 		if x.To.Kind == KindVoid || x.To.Kind == KindBool {
 			return Type{}, fmt.Errorf("%v: cannot cast to %s", x.Pos, x.To)
@@ -532,6 +567,15 @@ func (c *checker) exprInner(e Expr, sc *scope) (Type, error) {
 	default:
 		return Type{}, fmt.Errorf("%v: unknown expression %T", e.Position(), e)
 	}
+}
+
+// arrayKind rejects arrays of anything but int and float, the element kinds
+// an Array holds.
+func arrayKind(pos Pos, t Type) error {
+	if t.IsArray() && t.Kind != KindInt && t.Kind != KindFloat {
+		return fmt.Errorf("%v: %s arrays are not supported", pos, Type{Kind: t.Kind})
+	}
+	return nil
 }
 
 func numericJoin(pos Pos, op string, a, b Type) (Type, error) {

@@ -205,34 +205,108 @@ func TestCheckMatmul(t *testing.T) {
 	}
 }
 
+// TestCheckErrors is the checker's rejection table: each program must fail
+// Parse or Check with an error containing want. A row with an empty want
+// marks a program the neighbouring rules must still accept.
 func TestCheckErrors(t *testing.T) {
-	cases := map[string]string{
-		"undefined variable": `int f() { return x; }`,
-		"redeclared":         `int f(int x) { int x = 1; return x; }`,
-		"rank mismatch":      `perfect void k(int n, float[n,n] a) { foreach (int i in n threads) { a[i] = 0.0; } }`,
-		"non-int subscript":  `perfect void k(int n, float[n] a) { foreach (int i in n threads) { a[0.5] = 0.0; } }`,
-		"assign to loop var": `perfect void k(int n, float[n] a) { foreach (int i in n threads) { i = 3; } }`,
-		"float to int":       `int f(float x) { int y = x; return y; }`,
-		"bool arithmetic":    `int f() { return 1 + true; }`,
-		"kernel returns":     `perfect int k(int n) { return n; }`,
-		"call kernel":        `perfect void k(int n) { } int f(int n) { k(n); return 0; }`,
-		"barrier outside":    `int f() { barrier(); return 0; }`,
-		"foreach in helper":  `int f(int n) { foreach (int i in n threads) { } return 0; }`,
-		"bad builtin arity":  `float f(float x) { return pow(x); }`,
-		"shadow builtin":     `float sqrt(float x) { return x; }`,
-		"void variable":      `int f() { void v; return 0; }`,
-		"array initializer":  `int f(int n) { float[n] a = 0.0; return 0; }`,
-		"if non-boolean":     `int f(int n) { if (n) { } return 0; }`,
-		"mod on float":       `float f(float x) { return x % 2.0; }`,
-		"assign whole array": `perfect void k(int n, float[n] a, float[n] b) { foreach (int i in n threads) { } a = b; }`,
+	cases := []struct{ name, src, want string }{
+		{"undefined variable", `int f() { return x; }`, "1:18: undefined variable x"},
+		{"redeclared", `int f(int x) { int x = 1; return x; }`, "1:16: variable x redeclared"},
+		{"rank mismatch", `perfect void k(int n, float[n,n] a) { foreach (int i in n threads) { a[i] = 0.0; } }`, "1:71: array a has rank 2, indexed with 1 subscripts"},
+		{"non-int subscript", `perfect void k(int n, float[n] a) { foreach (int i in n threads) { a[0.5] = 0.0; } }`, "1:70: expected int expression, got float"},
+		{"assign to loop var", `perfect void k(int n, float[n] a) { foreach (int i in n threads) { i = 3; } }`, "1:68: cannot assign to foreach variable i"},
+		{"float to int", `int f(float x) { int y = x; return y; }`, "1:18: cannot initialize int y with float"},
+		{"bool arithmetic", `int f() { return 1 + true; }`, "1:20: operator + requires numeric operands"},
+		{"kernel returns", `perfect int k(int n) { return n; }`, "1:1: kernel k must return void"},
+		{"call kernel", `perfect void k(int n) { } int f(int n) { k(n); return 0; }`, "1:42: cannot call kernel k"},
+		{"barrier outside", `int f() { barrier(); return 0; }`, "1:11: barrier outside foreach"},
+		{"foreach in helper", `int f(int n) { foreach (int i in n threads) { } return 0; }`, "1:16: foreach is only allowed in kernels, not helper function f"},
+		{"bad builtin arity", `float f(float x) { return pow(x); }`, "1:27: pow takes 2 arguments, got 1"},
+		{"shadow builtin", `float sqrt(float x) { return x; }`, "1:1: function sqrt shadows a builtin"},
+		{"void variable", `int f() { void v; return 0; }`, "1:16: cannot declare a void variable"},
+		{"array initializer", `int f(int n) { float[n] a = 0.0; return 0; }`, "1:16: array variable a cannot have an initializer"},
+		{"if non-boolean", `int f(int n) { if (n) { } return 0; }`, "1:20: if condition must be boolean, got int"},
+		{"mod on float", `float f(float x) { return x % 2.0; }`, "1:29: operator % requires int operands"},
+		{"assign whole array", `perfect void k(int n, float[n] a, float[n] b) { foreach (int i in n threads) { } a = b; }`, "1:82: cannot assign whole arrays"},
+		{"mod-assign on float", `perfect void k(int n, float[n] a) { float x = 1.0; x %= 2.0; a[0] %= x; }`, "1:52: operator %= requires int operands"},
+		{"cast from boolean", `perfect void k(int n, float[n] a) { a[0] = (float)(n > 0); }`, "1:44: cannot cast boolean to float"},
+		{"boolean array", `perfect void k(int n) { boolean[n] seen; }`, "1:25: boolean arrays are not supported"},
+		{"boolean array parameter", `perfect void k(int n, boolean[n] seen) { }`, "1:23: boolean arrays are not supported"},
+		{"negated void call", `void h(int n) { } perfect void k(int n) { -h(n); }`, "1:43: unary - on void"},
+		{"cast from void", `void h(int n) { } perfect void k(int n, float[n] a) { a[0] = (float)h(n); }`, "1:62: cannot cast void to float"},
+		{"array return", `float[n] f(int n, float[n] a) { return a; }`, "1:1: function f cannot return an array"},
+
+		// Work-items of a foreach with a barrier share only arrays: a write
+		// to a scalar declared outside the loop is rejected, at the target.
+		{"outer scalar in parallel foreach", `perfect void k(int n, float[n] xs) {
+  float acc = 0.0;
+  foreach (int i in n threads) {
+    barrier();
+    acc += xs[i];
+  }
+  xs[0] = acc;
+}`, "5:5: cannot assign to acc inside a foreach with a barrier: acc is declared outside the loop and work-items share no scalars (declare it inside the loop or use a local array)"},
+		{"outer for variable in parallel foreach", `perfect void k(int n, float[n] xs) {
+  int j = 0;
+  foreach (int i in n threads) {
+    barrier();
+    for (; j < n; j++) { xs[i] += 1.0; }
+  }
+}`, "5:19: cannot assign to j inside a foreach with a barrier"},
+		{"colsum", `perfect void colsum(int n, float[n] xs, float[1] out) {
+  float acc = 0.0;
+  foreach (int i in 1 threads) {
+    for (int j = 0; j < n; j++) {
+      acc += xs[j];
+    }
+    barrier();
+  }
+  out[0] = acc;
+}`, "5:7: cannot assign to acc inside a foreach with a barrier"},
+		{"parameter increment in parallel foreach", `perfect void k(int n, float[n] xs) {
+  foreach (int i in n threads) {
+    barrier();
+    n++;
+  }
+}`, "4:5: cannot assign to n inside a foreach with a barrier"},
+		{"outer scalar in parallel foreach chain", `perfect void k(int n, float[n,n] xs) {
+  float acc = 0.0;
+  foreach (int i in n threads) {
+    foreach (int j in n threads) {
+      barrier();
+      acc += xs[i,j];
+    }
+  }
+  xs[0,0] = acc;
+}`, "6:7: cannot assign to acc inside a foreach with a barrier"},
+		{"reduction in barrier-free foreach", `perfect void k(int n, float[n] xs) {
+  float acc = 0.0;
+  foreach (int i in n threads) {
+    acc += xs[i];
+  }
+  xs[0] = acc;
+}`, ""},
+		{"private scalar in parallel foreach", `perfect void k(int n, float[n] xs) {
+  foreach (int i in n threads) {
+    float mine = xs[i];
+    barrier();
+    mine *= 2.0;
+    xs[i] = mine;
+  }
+}`, ""},
 	}
-	for name, src := range cases {
-		prog, err := Parse(src)
-		if err != nil {
-			continue // parse-time rejection also acceptable for some cases
+	for _, tc := range cases {
+		prog, err := Parse(tc.src)
+		if err == nil {
+			_, err = Check(prog)
 		}
-		if _, err := Check(prog); err == nil {
-			t.Errorf("%s: Check succeeded on %q", name, src)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		case tc.want != "" && err == nil:
+			t.Errorf("%s: accepted %q", tc.name, tc.src)
+		case tc.want != "" && !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
 		}
 	}
 }

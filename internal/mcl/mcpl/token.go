@@ -8,7 +8,7 @@
 // Sibling packages translate kernels between hardware-description levels
 // (mcl/translate), analyze and report optimization feedback (mcl/feedback),
 // generate OpenCL-style code plus cost descriptors (mcl/codegen) and execute
-// kernels for verification (mcl/interp).
+// kernels for verification (mcl/closure).
 package mcpl
 
 import "fmt"

@@ -132,22 +132,12 @@ func (t *translator) stmt(s mcpl.Stmt, depth int) (mcpl.Stmt, error) {
 // whose units all have mappings at the target level: the dimensionality of
 // the decomposed ND-range.
 func (t *translator) nestDepth(st *mcpl.Foreach) int {
+	chain, _, _ := st.Chain()
 	d := 0
-	cur := st
-	for cur != nil && t.target.Mapping(cur.Unit) != nil {
+	for d < len(chain) && t.target.Mapping(chain[d].Unit) != nil {
 		d++
-		cur = directChildForeach(cur.Body)
 	}
 	return d
-}
-
-func directChildForeach(b *mcpl.Block) *mcpl.Foreach {
-	if len(b.Stmts) == 1 {
-		if fe, ok := b.Stmts[0].(*mcpl.Foreach); ok {
-			return fe
-		}
-	}
-	return nil
 }
 
 func (t *translator) foreach(st *mcpl.Foreach, depth int) (mcpl.Stmt, error) {

@@ -53,16 +53,16 @@ func TestTranslateMatmulToGPUPreservesSemantics(t *testing.T) {
 		// (translation reorders nothing within an output element).
 		const n, m, p = 19, 23, 7 // deliberately not multiples of block sizes
 		rng := rand.New(rand.NewSource(3))
-		a := interp.NewFloatArray(n, p)
-		b := interp.NewFloatArray(p, m)
+		a := mcpl.NewFloatArray(n, p)
+		b := mcpl.NewFloatArray(p, m)
 		for i := range a.F {
 			a.F[i] = rng.Float64()
 		}
 		for i := range b.F {
 			b.F[i] = rng.Float64()
 		}
-		c1 := interp.NewFloatArray(n, m)
-		c2 := interp.NewFloatArray(n, m)
+		c1 := mcpl.NewFloatArray(n, m)
+		c2 := mcpl.NewFloatArray(n, m)
 		if err := interp.Run(prog, "matmul", int64(n), int64(m), int64(p), c1, a, b); err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ perfect void k(int n, float[n] a) {
 	if out.Func("sq") == nil {
 		t.Fatal("helper dropped by translation")
 	}
-	a := interp.NewFloatArray(5)
+	a := mcpl.NewFloatArray(5)
 	for i := range a.F {
 		a.F[i] = float64(i)
 	}
